@@ -10,7 +10,7 @@ conjugator beta from the t-constant part of the twisted family phi.
 from fractions import Fraction
 
 from falin import (TorusAction, build_phi, conjugate_by_translation, emit_report,
-                   extract_beta, fixed_point, linear_matrix, linearize, parse,
+                   extract_beta, fixed_point, linear_part, linearize, parse,
                    poly_str, render, weight_decomposition)
 
 SOURCE = """rank 2
@@ -32,7 +32,7 @@ print("fixed point:", center)
 recentred = TorusAction(conjugate_by_translation(action.map, center))
 
 # stage 2: weight-space diagonalization of the linear part
-basis, weights = weight_decomposition(linear_matrix(recentred))
+basis, weights = weight_decomposition(linear_part(recentred.map))
 print("base change P:", basis)
 print("weights M:    ", weights)
 

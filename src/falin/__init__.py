@@ -8,8 +8,7 @@ together with beta's inverse and a symbolic verification of the
 conjugation identity.
 """
 
-from .coefficients import (ExactScalar, LaurentPoly, l_add, l_eval, l_mul,
-                           l_subst_monomial)
+from .coefficients import LaurentPoly
 from .corpusgen import CorpusSpec, GroundTruth, conjugated_action, gen_action, gen_elementary
 from .endo import (PolyMap, compose, conjugate_by_linear, conjugate_by_translation,
                    constant_part, identity_map, invert, linear_part)
@@ -24,26 +23,24 @@ from .linearize import (LinearizationReport, build_phi, build_tau, extract_beta,
                         linearize, verify_conjugation)
 from .textio import (ActionDocument, emit_report, laurent_str, map_document,
                      parse, poly_str, render)
-from .torus import (AxiomVerdict, DiagonalAction, TorusAction, check_axioms,
-                    fixed_point, is_effective, linear_matrix, power_matrix,
-                    specialize, weight_decomposition)
+from .torus import (AxiomVerdict, TorusAction, check_axioms, fixed_point,
+                    is_effective, specialize, weight_decomposition)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActionDocument", "AxiomVerdict", "AxiomsFail", "CorpusSpec",
-    "DegreeBlowupExceeded", "DiagonalAction", "ExactScalar", "FalinError",
-    "FixedPointNotFound", "FreePoly", "GroundTruth", "InternalInvariant",
-    "LaurentPoly", "LinearizationReport", "NotDiagonalizable", "NotEffective",
-    "NotPolynomialInverseWithinBound", "ParseError", "PolyMap", "RankMismatch",
-    "SingularLinearPart", "SingularMatrix", "TorusAction", "VariableMismatch",
-    "Word", "ZeroTorusPoint", "abelianize", "abelianized_representative",
-    "build_phi", "build_tau", "check_axioms", "compose", "conjugate_by_linear",
+    "DegreeBlowupExceeded", "FalinError", "FixedPointNotFound", "FreePoly",
+    "GroundTruth", "InternalInvariant", "LaurentPoly", "LinearizationReport",
+    "NotDiagonalizable", "NotEffective", "NotPolynomialInverseWithinBound",
+    "ParseError", "PolyMap", "RankMismatch", "SingularLinearPart",
+    "SingularMatrix", "TorusAction", "VariableMismatch", "Word",
+    "ZeroTorusPoint", "abelianize", "abelianized_representative", "build_phi",
+    "build_tau", "check_axioms", "compose", "conjugate_by_linear",
     "conjugate_by_translation", "conjugated_action", "constant_part",
     "emit_report", "extract_beta", "f_degree", "f_mul", "f_substitute",
     "fixed_point", "gen_action", "gen_elementary", "identity_map", "invert",
-    "is_effective", "l_add", "l_eval", "l_mul", "l_subst_monomial",
-    "laurent_str", "linear_matrix", "linear_part", "linearize", "map_document",
-    "parse", "poly_str", "power_matrix", "render", "specialize",
-    "verify_conjugation", "weight_decomposition",
+    "is_effective", "laurent_str", "linear_part", "linearize", "map_document",
+    "parse", "poly_str", "render", "specialize", "verify_conjugation",
+    "weight_decomposition",
 ]

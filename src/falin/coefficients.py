@@ -1,8 +1,7 @@
 """Exact coefficient arithmetic: rational scalars and Laurent polynomials.
 
 The ground field is the rationals.  Scalars are ``fractions.Fraction``
-values (always normalized: positive denominator, gcd 1, zero as 0/1), for
-which this module provides the alias ``ExactScalar``.
+values (always normalized: positive denominator, gcd 1, zero as 0/1).
 
 A Laurent polynomial in ``nvars`` torus variables t1..t{nvars} is a finite
 map from dense integer exponent vectors (tuples of length ``nvars``,
@@ -23,8 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotMonomial, VariableMismatch, ZeroTorusPoint
-
-ExactScalar = Fraction
 
 Exponents = "tuple[int, ...]"
 
@@ -298,24 +295,3 @@ class LaurentPoly:
         res.terms = {pad_left + e + pad_right: c for e, c in self.terms.items()}
         return res
 
-
-# Operation-style entry points mirroring the module contract.
-
-def l_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Pointwise sum; zero terms are deleted."""
-    return a + b
-
-
-def l_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Convolution over exponent-vector addition."""
-    return a * b
-
-
-def l_eval(p: LaurentPoly, point: Sequence) -> Fraction:
-    """Evaluate at a torus point; negative exponents become reciprocal powers."""
-    return p.eval(point)
-
-
-def l_subst_monomial(p: LaurentPoly, images: Sequence[LaurentPoly]) -> LaurentPoly:
-    """Exponent-linear substitution of monomial images for the variables."""
-    return p.subst_monomial(images)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import linalg
-from .endo import PolyMap, compose, identity_map
+from .endo import PolyMap, compose, identity_map, linear_map
 from .errors import DegreeBlowupExceeded, InternalInvariant
 from .freealg import FreePoly, f_degree
 from .linearize import build_tau, verify_conjugation
@@ -141,13 +141,6 @@ def _random_unimodular(rank: int, rng: random.Random):
     return m
 
 
-def _linear_polymap(matrix) -> PolyMap:
-    rank = len(matrix)
-    return PolyMap([
-        FreePoly(rank, {(j,): matrix[i][j - 1] for j in range(1, rank + 1)})
-        for i in range(rank)])
-
-
 def _check_size(pm: PolyMap, cap: int):
     degree = max(f_degree(img) for img in pm.images)
     size = sum(len(img.terms) for img in pm.images)
@@ -190,8 +183,8 @@ def _attempt(spec: CorpusSpec, rng: random.Random):
         matrix = _random_unimodular(spec.rank, rng)
     else:
         matrix = linalg.identity(spec.rank)
-    alpha = _linear_polymap(matrix)
-    alpha_inv = _linear_polymap(linalg.inverse(matrix))
+    alpha = linear_map(spec.rank, matrix)
+    alpha_inv = linear_map(spec.rank, linalg.inverse(matrix))
     for k in range(spec.n_elementary):
         fwd, back = gen_elementary(spec.rank, rng, spec.max_poly_degree,
                                    target=1 + k % spec.rank)

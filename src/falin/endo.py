@@ -95,7 +95,8 @@ def constant_part(f: PolyMap) -> list:
     return [img.constant_coeff() for img in f.images]
 
 
-def _scalar_linear_matrix(f: PolyMap) -> list:
+def scalar_linear_part(f: PolyMap) -> list:
+    """Linear part as a Fraction matrix (scalar maps only)."""
     rows = linear_part(f)
     out = []
     for row in rows:
@@ -135,7 +136,7 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
         max_degree = max(f.degree(), 1)
     if max_degree < 1:
         raise NotPolynomialInverseWithinBound("degree bound must be at least 1")
-    matrix = _scalar_linear_matrix(f)
+    matrix = scalar_linear_part(f)
     try:
         inv_matrix = linalg.inverse(matrix)
     except SingularMatrix:
@@ -215,7 +216,3 @@ def conjugate_by_linear(f: PolyMap, p_matrix) -> PolyMap:
     right = linear_map(f.rank, inv)
     return compose(left, compose(f, right))
 
-
-def scalar_linear_part(f: PolyMap) -> list:
-    """Linear part as a Fraction matrix (scalar maps only)."""
-    return _scalar_linear_matrix(f)

@@ -275,10 +275,6 @@ def f_mul(p: FreePoly, q: FreePoly, max_degree: Optional[int] = None) -> FreePol
     return FreePoly(p.rank, out, nvars)
 
 
-def f_add(p: FreePoly, q: FreePoly) -> FreePoly:
-    return p + q
-
-
 def f_degree(p: FreePoly) -> int:
     """Maximum word length over the terms; deg 0 = -1 by convention."""
     return p.degree()

@@ -113,8 +113,10 @@ def det(a) -> Fraction:
 
 
 def int_det(a) -> int:
+    """Determinant of an integer matrix."""
     value = det(frac_matrix(a))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ValueError("int_det needs an integer matrix")
     return value.numerator
 
 

@@ -65,9 +65,6 @@ class ActionDocument:
             raise ParseError("document is a map, not an action", 1, 1)
         return TorusAction(self.to_map())
 
-    def to_value(self):
-        return self.to_action() if self.kind == "action" else self.to_map()
-
 
 # -- tokenizer ----------------------------------------------------------
 

@@ -21,9 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import PolyMap, compose, constant_part, identity_map, linear_part, scalar_linear_part
-from .errors import (FixedPointNotFound, InternalInvariant, NotDiagonalizable,
-                     RankMismatch, ZeroTorusPoint)
+from .endo import PolyMap, compose, constant_part, identity_map, scalar_linear_part
+from .errors import (FixedPointNotFound, NotDiagonalizable, RankMismatch,
+                     ZeroTorusPoint)
 from .freealg import FreePoly, abelianize
 
 Word = Tuple[int, ...]
@@ -52,17 +52,6 @@ class TorusAction:
 
     def __repr__(self):
         return f"TorusAction({self.map!r})"
-
-
-@dataclass(frozen=True)
-class DiagonalAction:
-    """tau(t)(z_i) = t^{m_i} z_i with m_i the i-th row of ``weights``."""
-
-    weights: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -142,15 +131,6 @@ def specialize(action: TorusAction, point: Sequence) -> PolyMap:
         for img in action.map.images])
 
 
-def linear_matrix(action: TorusAction) -> list:
-    """The n x n Laurent matrix [a_ij(t)] of the linear part."""
-    return linear_part(action.map)
-
-
-def power_matrix(diag: DiagonalAction) -> list:
-    return [list(row) for row in diag.weights]
-
-
 def is_effective(weights) -> bool:
     """Effective iff the integer weight matrix is non-singular."""
     return linalg.int_det(weights) != 0
@@ -164,7 +144,8 @@ def weight_decomposition(matrix, nvars: Optional[int] = None):
     coefficients of each t-monomial in A(t) v = t^mu v.  Returns (P, M):
     the base change whose columns are the concatenated kernel bases, and
     the integer matrix whose i-th row is the weight of column i, so that
-    P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) exactly (self-checked).
+    P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) exactly: each column solves
+    A(t) v = t^mu v by construction.
 
     Raises NotDiagonalizable when the weight spaces do not fill K^n, which
     for a split torus representation over the rationals means the input was
@@ -215,23 +196,6 @@ def weight_decomposition(matrix, nvars: Optional[int] = None):
     if not linalg.det(basis):
         raise NotDiagonalizable("weight vectors are linearly dependent")
 
-    # self-check: the conjugated matrix must be exactly diag(t^{m_i})
-    inv = linalg.inverse(basis)
-    for i in range(n):
-        for j in range(n):
-            acc = LaurentPoly.zero(nvars)
-            for k in range(n):
-                if inv[i][k]:
-                    for l in range(n):
-                        if basis[l][j]:
-                            acc = acc + (inv[i][k] * basis[l][j]) * matrix[k][l]
-            if i == j:
-                expect = LaurentPoly.monomial(nvars, weights[i])
-            else:
-                expect = LaurentPoly.zero(nvars)
-            if acc != expect:
-                raise InternalInvariant(
-                    "weight decomposition failed its diagonality self-check")
     return basis, [list(w) for w in weights]
 
 
@@ -259,28 +223,15 @@ def _comm_partial(p: LaurentPoly, j: int) -> LaurentPoly:
     return LaurentPoly(p.nvars, out)
 
 
-def translated_constant_part(map_: PolyMap, c: Sequence) -> list:
+def translated_constant_part(map_: PolyMap, c: Sequence):
     """Constant part of the translation conjugate, without building it.
 
-    Entry i equals f_i evaluated at z = c minus c_i; all entries vanish
-    exactly when c is a fixed point of the abelianized action.
+    Yields, entry by entry, f_i evaluated at z = c minus c_i; all entries
+    vanish exactly when c is a fixed point of the abelianized action.
+    Entries are computed lazily, so ``not any(...)`` stops at the first
+    nonzero one.
     """
     c = [Fraction(x) for x in c]
-    out = []
-    for i, img in enumerate(map_.images):
-        total = 0
-        for word, coeff in img.terms.items():
-            factor = Fraction(1)
-            for letter in word:
-                factor *= c[letter - 1]
-            if factor:
-                total = coeff * factor + total
-        out.append(total - c[i])
-    return out
-
-
-def _is_fixed(map_: PolyMap, c) -> bool:
-    # translated_constant_part with an early exit per image
     for i, img in enumerate(map_.images):
         total = 0
         for word, coeff in img.terms.items():
@@ -291,9 +242,7 @@ def _is_fixed(map_: PolyMap, c) -> bool:
                     break
             if factor:
                 total = coeff * factor + total
-        if total - c[i]:
-            return False
-    return True
+        yield total - c[i]
 
 
 def _candidate_point(seed: int, attempt: int, n: int) -> list:
@@ -340,7 +289,7 @@ def fixed_point(action: TorusAction, seed: int = 0,
 
     if n <= 3:
         for cand in _lattice_candidates(n, 3):
-            if _is_fixed(action.map, cand):
+            if not any(translated_constant_part(action.map, cand)):
                 return cand
 
     rounding = (1, 10, 1000, 10 ** 6, 10 ** 12, 10 ** 24)
@@ -359,7 +308,7 @@ def fixed_point(action: TorusAction, seed: int = 0,
         for _ in range(max_newton):
             for bound in rounding:
                 cand = tuple(v.limit_denominator(bound) for v in x)
-                if _is_fixed(action.map, cand):
+                if not any(translated_constant_part(action.map, cand)):
                     return cand
             if all(not r for r in residual):
                 # exact root of the specialized system that fails the symbolic

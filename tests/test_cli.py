@@ -176,6 +176,18 @@ class TestGenerate:
         weights = json.loads((tmp_path / "case.weights.json").read_text())
         assert sorted(map(tuple, data["weights"])) == sorted(map(tuple, weights))
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rank", "0"), ("--degree", "0"), ("--weight-bound", "-1")])
+    def test_out_of_range_bound_is_usage_error(self, flag, value, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--rank", "2", "--seed", "1"]
+        assert run(argv + [flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flag in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from falin import (LaurentPoly, VariableMismatch, ZeroTorusPoint,
-                   l_add, l_eval, l_mul, l_subst_monomial)
+from falin import LaurentPoly, VariableMismatch, ZeroTorusPoint
 from falin.errors import NotMonomial
 
 from helpers import rand_laurent
@@ -34,56 +33,56 @@ class TestAdd:
     def test_cancellation(self):
         a = L(2, {(1, 0): 1, (0, 1): 1})    # t1 + t2
         b = L(2, {(1, 0): -1})              # -t1
-        assert l_add(a, b) == L(2, {(0, 1): 1})
+        assert a + b == L(2, {(0, 1): 1})
 
     def test_rational_coefficients(self):
         # 2/t1 + (1/2)/t1 = (5/2)/t1
         a = L(1, {(-1,): 2})
         b = L(1, {(-1,): Fraction(1, 2)})
-        assert l_add(a, b) == L(1, {(-1,): Fraction(5, 2)})
+        assert a + b == L(1, {(-1,): Fraction(5, 2)})
 
     def test_additive_identity(self):
         p = L(2, {(3, -1): Fraction(7, 3)})
-        assert l_add(p, LaurentPoly.zero(2)) == p
+        assert p + LaurentPoly.zero(2) == p
 
     def test_nvars_mismatch(self):
         with pytest.raises(VariableMismatch):
-            l_add(L(1, {(1,): 1}), L(2, {(1, 0): 1}))
+            L(1, {(1,): 1}) + L(2, {(1, 0): 1})
 
 
 class TestMul:
     def test_inverse_monomials(self):
-        assert l_mul(L(1, {(2,): 1}), L(1, {(-2,): 1})) == LaurentPoly.one(1)
+        assert L(1, {(2,): 1}) * L(1, {(-2,): 1}) == LaurentPoly.one(1)
 
     def test_difference_of_squares(self):
         a = L(2, {(1, 0): 1, (0, 1): -1})   # t1 - t2
         b = L(2, {(1, 0): 1, (0, 1): 1})    # t1 + t2
-        assert l_mul(a, b) == L(2, {(2, 0): 1, (0, 2): -1})
+        assert a * b == L(2, {(2, 0): 1, (0, 2): -1})
 
     def test_multiplicative_identity(self):
         p = L(2, {(1, -2): Fraction(-4, 5), (0, 0): 3})
-        assert l_mul(p, LaurentPoly.one(2)) == p
+        assert p * LaurentPoly.one(2) == p
 
     def test_nvars_mismatch(self):
         with pytest.raises(VariableMismatch):
-            l_mul(L(1, {}), L(3, {}))
+            L(1, {}) * L(3, {})
 
 
 class TestEval:
     def test_at_three(self):
         p = L(1, {(2,): 1, (0,): -1})       # t1^2 - 1
-        assert l_eval(p, [3]) == 8
+        assert p.eval([3]) == 8
 
     def test_at_identity(self):
         p = L(1, {(2,): 1, (0,): -1})
-        assert l_eval(p, [1]) == 0
+        assert p.eval([1]) == 0
 
     def test_reciprocal(self):
-        assert l_eval(L(1, {(-1,): 1}), [2]) == Fraction(1, 2)
+        assert L(1, {(-1,): 1}).eval([2]) == Fraction(1, 2)
 
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroTorusPoint):
-            l_eval(L(2, {(1, 1): 1}), [1, 0])
+            L(2, {(1, 1): 1}).eval([1, 0])
 
 
 class TestSubstMonomial:
@@ -91,24 +90,24 @@ class TestSubstMonomial:
         # t1 -> s1*t1 applied to t1^2 gives s1^2 t1^2 (s is the second slot)
         p = L(1, {(2,): 1})
         image = LaurentPoly.monomial(2, (1, 1))
-        assert l_subst_monomial(p, [image]) == L(2, {(2, 2): 1})
+        assert p.subst_monomial([image]) == L(2, {(2, 2): 1})
 
     def test_identity_substitution(self):
         p = L(2, {(1, -1): 2, (0, 3): Fraction(1, 3)})
         images = [LaurentPoly.var(2, 1), LaurentPoly.var(2, 2)]
-        assert l_subst_monomial(p, images) == p
+        assert p.subst_monomial(images) == p
 
     def test_collapse_to_constant(self):
         # t1 -> 1 applied to t1 + 2
         p = L(1, {(1,): 1, (0,): 2})
-        assert l_subst_monomial(p, [LaurentPoly.one(1)]) == L(1, {(0,): 3})
+        assert p.subst_monomial([LaurentPoly.one(1)]) == L(1, {(0,): 3})
 
     def test_non_monomial_rejected(self):
         p = L(1, {(1,): 1})
         with pytest.raises(NotMonomial):
-            l_subst_monomial(p, [L(1, {(1,): 1, (0,): 1})])
+            p.subst_monomial([L(1, {(1,): 1, (0,): 1})])
         with pytest.raises(NotMonomial):
-            l_subst_monomial(p, [L(1, {(1,): 2})])
+            p.subst_monomial([L(1, {(1,): 2})])
 
 
 def laurents(nvars):
@@ -122,26 +121,26 @@ class TestRingLaws:
     @settings(max_examples=60, deadline=None)
     @given(laurents(2), laurents(2), laurents(2))
     def test_ring_laws(self, a, b, c):
-        assert l_add(a, b) == l_add(b, a)
-        assert l_add(l_add(a, b), c) == l_add(a, l_add(b, c))
-        assert l_mul(a, b) == l_mul(b, a)
-        assert l_mul(l_mul(a, b), c) == l_mul(a, l_mul(b, c))
-        assert l_mul(a, l_add(b, c)) == l_add(l_mul(a, b), l_mul(a, c))
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == (a * b) + (a * c)
 
     @settings(max_examples=60, deadline=None)
     @given(laurents(2), laurents(2))
     def test_eval_is_multiplicative(self, a, b):
         point = [Fraction(3, 2), Fraction(-2)]
-        assert l_eval(l_mul(a, b), point) == l_eval(a, point) * l_eval(b, point)
+        assert (a * b).eval(point) == a.eval(point) * b.eval(point)
 
     @settings(max_examples=60, deadline=None)
     @given(laurents(2), laurents(2))
     def test_subst_is_homomorphism(self, a, b):
         images = [LaurentPoly.monomial(3, (1, 0, 2)),
                   LaurentPoly.monomial(3, (0, -1, 1))]
-        sub = lambda p: l_subst_monomial(p, images)
-        assert sub(l_add(a, b)) == l_add(sub(a), sub(b))
-        assert sub(l_mul(a, b)) == l_mul(sub(a), sub(b))
+        sub = lambda p: p.subst_monomial(images)
+        assert sub(a + b) == sub(a) + sub(b)
+        assert sub(a * b) == sub(a) * sub(b)
 
 
 class TestCanonicalForm:

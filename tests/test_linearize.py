@@ -1,12 +1,18 @@
 """The linearization pipeline on worked examples and constructed failures."""
 
+import importlib
+
 import pytest
 
-from falin import (AxiomsFail, FreePoly, LaurentPoly, NotEffective, PolyMap,
-                   TorusAction, build_phi, build_tau, extract_beta,
+from falin import (AxiomsFail, FixedPointNotFound, FreePoly, LaurentPoly,
+                   NotEffective, NotPolynomialInverseWithinBound, PolyMap,
+                   TorusAction, build_phi, build_tau, check_axioms,
+                   conjugate_by_translation, extract_beta, gen_action,
                    identity_map, linearize, parse, verify_conjugation)
 from falin.corpusgen import conjugated_action
 from falin.errors import NotDiagonalizable
+
+from test_acceptance import corpus_spec
 
 EX_A = """rank 2
 action
@@ -164,3 +170,60 @@ class TestLinearize:
             action, _ = gen_action(spec)
             report = linearize(action)
             assert scalar_linear_part(report.beta) == [[1, 0], [0, 1]]
+
+
+def bumped_corpus_action(seed, k, delta):
+    """Corpus action whose k-th graded-lex term of z1's image gains delta(rank)."""
+    action, _ = gen_action(corpus_spec(seed))
+    first = action.map.images[0]
+    word = sorted(first.terms, key=lambda w: (len(w), w))[k]
+    terms = dict(first.terms)
+    terms[word] = terms[word] + delta(action.rank)
+    images = [FreePoly(action.rank, terms, action.rank), *action.map.images[1:]]
+    return TorusAction(PolyMap(images))
+
+
+def doc_action(*images):
+    lines = [f"rank {len(images)}", "action",
+             *(f"z{i} -> {image}" for i, image in enumerate(images, 1)), "end", ""]
+    return parse("\n".join(lines)).to_action()
+
+
+class TestCertificate:
+    """Axioms are checked only where the pipeline gives no certificate."""
+
+    @pytest.mark.parametrize("make, stage_error", [
+        (lambda: doc_action("t1*z1 + 1"), FixedPointNotFound),
+        (lambda: bumped_corpus_action(1, 0, lambda n: 1), NotDiagonalizable),
+        (lambda: bumped_corpus_action(10, 2, lambda n: LaurentPoly.var(n, 1)), None),
+        (lambda: doc_action("t1*z1 + t1*z1^2"), NotPolynomialInverseWithinBound),
+        (lambda: doc_action("t1*z1", "t1*z2 + t2*z1^2"), NotEffective),
+    ], ids=["fixed_point", "not_diagonalizable", "verified_false",
+            "inverse_bound", "not_effective"])
+    def test_non_action_raises_axioms_fail_with_witness(self, make, stage_error):
+        action = make()
+        verdict = check_axioms(action)
+        assert not verdict.ok
+        with pytest.raises(AxiomsFail) as err:
+            linearize(action)
+        assert err.value.witness == verdict
+        # the stage that noticed first; verified=False raises no stage error
+        context = err.value.__context__
+        if stage_error is None:
+            assert context is None
+        else:
+            assert isinstance(context, stage_error)
+
+    def test_genuine_action_never_checks_axioms(self, ex_a, monkeypatch):
+        module = importlib.import_module("falin.linearize")
+        calls = []
+
+        def counting(action):
+            calls.append(action)
+            return check_axioms(action)
+
+        monkeypatch.setattr(module, "check_axioms", counting)
+        moved = TorusAction(conjugate_by_translation(ex_a.map, [2, -1]))
+        assert linearize(ex_a).verified
+        assert linearize(moved).verified
+        assert calls == []

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from falin import (DiagonalAction, FreePoly, LaurentPoly,
-                   NotDiagonalizable, PolyMap, TorusAction, ZeroTorusPoint,
-                   check_axioms, conjugate_by_translation, fixed_point,
-                   identity_map, is_effective, linear_matrix, parse,
-                   power_matrix, specialize, weight_decomposition)
+from falin import (FreePoly, LaurentPoly, NotDiagonalizable, PolyMap,
+                   TorusAction, ZeroTorusPoint, check_axioms,
+                   conjugate_by_translation, fixed_point, identity_map,
+                   is_effective, linear_part, parse, specialize,
+                   weight_decomposition)
 from falin.corpusgen import CorpusSpec, gen_action
+from falin.linalg import int_det
 from falin.torus import translated_constant_part
 
 EX_A = """rank 2
@@ -86,7 +87,7 @@ class TestSpecialize:
 
 class TestLinearMatrix:
     def test_ex_a(self, ex_a):
-        matrix = linear_matrix(ex_a)
+        matrix = linear_part(ex_a.map)
         assert matrix[0][0] == LaurentPoly.var(2, 1)
         assert matrix[0][1] == LaurentPoly.zero(2)
         assert matrix[1][0] == LaurentPoly.zero(2)
@@ -94,7 +95,7 @@ class TestLinearMatrix:
 
     def test_identity_action(self):
         doc = parse("rank 2\naction\nz1 -> z1\nz2 -> z2\nend\n")
-        matrix = linear_matrix(doc.to_action())
+        matrix = linear_part(doc.to_action().map)
         assert matrix[0][0] == LaurentPoly.one(2)
         assert matrix[1][1] == LaurentPoly.one(2)
 
@@ -139,10 +140,12 @@ class TestEffectiveness:
     def test_unimodular(self):
         assert is_effective([[2, 1], [1, 1]])
 
-    def test_power_matrix(self):
-        diag = DiagonalAction(((1, 2), (1, 1)))
-        assert power_matrix(diag) == [[1, 2], [1, 1]]
-        assert power_matrix(DiagonalAction(((1, 0), (1, 0)))) == [[1, 0], [1, 0]]
+    def test_non_integer_weights_rejected(self):
+        # an explicit check, so it holds under python -O as well
+        with pytest.raises(ValueError):
+            int_det([[Fraction(1, 2)]])
+        with pytest.raises(ValueError):
+            is_effective([[Fraction(1, 2)]])
 
 
 class TestFixedPoint:
