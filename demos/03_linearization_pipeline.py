@@ -26,7 +26,8 @@ action = TorusAction(conjugate_by_translation(base.map, [Fraction(2), Fraction(-
 print("input action:")
 print(render(action))
 
-# stage 1: the fixed point (verified symbolically before being returned)
+# stage 1: the fixed point, read off the t-constant part of the constant
+# terms and verified symbolically before being returned
 center = fixed_point(action)
 print("fixed point:", center)
 recentred = TorusAction(conjugate_by_translation(action.map, center))

@@ -52,8 +52,6 @@ def _build_parser() -> _Parser:
     cmd.add_argument("--out", help="write the JSON report here instead of stdout")
     cmd.add_argument("--max-degree", type=int, default=None,
                      help="override the inversion degree bound")
-    cmd.add_argument("--seed", type=int, default=0,
-                     help="seed for the fixed-point heuristic")
 
     cmd = sub.add_parser("invert", help="invert a polynomial map document")
     cmd.add_argument("file")
@@ -129,8 +127,7 @@ def _cmd_linearize(args) -> int:
         print("linearize requires an action document", file=sys.stderr)
         return 1
     try:
-        report = linearize(doc.to_action(), seed=args.seed,
-                           max_degree=args.max_degree)
+        report = linearize(doc.to_action(), max_degree=args.max_degree)
     except AxiomsFail as err:
         for line in _witness_lines(err.witness, doc.rank):
             print(line, file=sys.stderr)

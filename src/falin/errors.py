@@ -57,7 +57,11 @@ class NotEffective(FalinError):
 
 
 class FixedPointNotFound(FalinError):
-    """The fixed-point heuristic exhausted its attempts."""
+    """The point read off the action's t-constant part is not fixed.
+
+    For a genuine action this proves it is not effective: an effective
+    action fixes exactly that point.
+    """
 
 
 class AxiomsFail(FalinError):

@@ -109,15 +109,16 @@ def _require_axioms(action: TorusAction) -> None:
                          witness=verdict)
 
 
-def linearize(action: TorusAction, seed: int = 0,
+def linearize(action: TorusAction,
               max_degree: Optional[int] = None) -> LinearizationReport:
     """Run the whole pipeline and return a fully verified report.
 
     A verified report is its own proof that the input is an action.  When a
     stage fails, or the conjugation does not verify, the axioms are checked:
     a non-action raises AxiomsFail (with witness) whichever stage noticed.
-    Genuine actions raise FixedPointNotFound when the heuristic solver gives
-    up, NotDiagonalizable for inputs whose linear part is not a torus
+    Genuine actions raise FixedPointNotFound when the point read off the
+    t-constant part is not fixed (proof that the action is not effective),
+    NotDiagonalizable for inputs whose linear part is not a torus
     representation, NotEffective (carrying the partial report) when the
     weight matrix is singular, and NotPolynomialInverseWithinBound if beta
     fails to invert within degree deg(sigma); genuine effective actions
@@ -125,7 +126,7 @@ def linearize(action: TorusAction, seed: int = 0,
     loudly rather than retried.
     """
     try:
-        report = _pipeline(action, seed, max_degree)
+        report = _pipeline(action, max_degree)
     except FalinError:
         _require_axioms(action)
         raise
@@ -134,10 +135,10 @@ def linearize(action: TorusAction, seed: int = 0,
     return report
 
 
-def _pipeline(action: TorusAction, seed: int,
+def _pipeline(action: TorusAction,
               max_degree: Optional[int]) -> LinearizationReport:
     n = action.rank
-    center = fixed_point(action, seed=seed)  # verified: no constant part remains
+    center = fixed_point(action)  # verified: no constant part remains
     moved = conjugate_by_translation(action.map, center)
     base_change, weights = weight_decomposition(linear_part(moved), nvars=n)
     if linalg.int_det(weights) == 0:

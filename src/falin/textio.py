@@ -17,7 +17,9 @@ report) is:
 insignificant except that a newline ends a binding.  z-variables do not
 commute with each other; t-variables commute with everything.  A power on
 a z-variable must be a positive integer (it expands into repeated
-letters); powers on t-variables may be any integer.  Map documents may
+letters); powers on t-variables may be any integer.  A power or product
+that would build words longer than MAX_WORD_LENGTH letters, or form more
+than MAX_PRODUCTS products of terms, is a parse error.  Map documents may
 not mention t-variables.
 
 Printing produces the canonical form: free terms in graded-lex word
@@ -43,6 +45,15 @@ from .linearize import LinearizationReport
 from .torus import TorusAction
 
 KEYWORDS = {"rank", "action", "map", "end"}
+
+# Powers and products expand while parsing, so a short document could
+# otherwise ask for a word of 5e7 letters (z1^50000000) or for 2^k words
+# ((z1 + z2)^k, or k factors (z1 + z2) multiplied).  An expansion is
+# rejected when its words would exceed MAX_WORD_LENGTH letters, or when the
+# number of term products it forms (s^k for a power of an s-term base,
+# s * r * ... for a product) exceeds MAX_PRODUCTS.
+MAX_WORD_LENGTH = 10_000
+MAX_PRODUCTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -234,9 +245,14 @@ class _Parser:
 
     def term(self) -> FreePoly:
         poly = self.factor()
+        length, count = poly.degree(), len(poly.terms)
         while self.peek().kind == "*":
-            self.advance()
-            poly = poly * self.factor()
+            star = self.advance()
+            rhs = self.factor()
+            length += rhs.degree()
+            count *= len(rhs.terms)
+            _check_expansion(length, count, star)
+            poly = poly * rhs
         return poly
 
     def factor(self) -> FreePoly:
@@ -249,11 +265,16 @@ class _Parser:
             if power < 1:
                 raise ParseError("power of a z-variable must be a positive integer",
                                  caret.line, caret.col)
+            _check_expansion(power, 1, caret)
             return FreePoly(self.rank, {(zvar,) * power: Fraction(1)})
         if tvar is not None:
             coeff = LaurentPoly.var(self.rank, tvar, power)
             return FreePoly.const(self.rank, coeff, self.rank)
         if power >= 0:
+            length = poly.degree() * power
+            if length > 0:
+                _check_expansion(length, 1, caret)  # bounds power first
+                _check_expansion(length, len(poly.terms) ** power, caret)
             return poly ** power
         inverse = poly.is_unit()
         if inverse is None:
@@ -314,6 +335,15 @@ class _Parser:
                                  den_tok.line, den_tok.col)
             value = Fraction(num_tok.value, den_tok.value)
         return -value if negative else value
+
+
+def _check_expansion(length: int, count: int, tok) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise ParseError(f"expansion would build words of {length} letters, "
+                         f"more than {MAX_WORD_LENGTH}", tok.line, tok.col)
+    if count > MAX_PRODUCTS:
+        raise ParseError(f"expansion would form {count} term products, "
+                         f"more than {MAX_PRODUCTS}", tok.line, tok.col)
 
 
 def parse(text: str) -> ActionDocument:

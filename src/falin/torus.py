@@ -4,7 +4,8 @@ A TorusAction wraps a PolyMap whose coefficients are Laurent polynomials
 in as many torus variables as the algebra has generators.  This module
 verifies the group-action axioms symbolically, specializes actions at
 torus points, diagonalizes linear parts into weight spaces, decides
-effectiveness, and locates fixed points.
+effectiveness, and reads the fixed point off the t-constant part of the
+constant terms.
 
 The axiom check works in 2n torus variables: slots 0..n-1 carry t, slots
 n..2n-1 carry a fresh copy s, so that sigma(s) o sigma(t) = sigma(st) is
@@ -14,17 +15,16 @@ index arithmetic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import PolyMap, compose, constant_part, identity_map, scalar_linear_part
+from .endo import PolyMap, compose, constant_part, identity_map
 from .errors import (FixedPointNotFound, NotDiagonalizable, RankMismatch,
                      ZeroTorusPoint)
-from .freealg import FreePoly, abelianize
+from .freealg import FreePoly
 
 Word = Tuple[int, ...]
 
@@ -201,28 +201,6 @@ def weight_decomposition(matrix, nvars: Optional[int] = None):
 
 # -- fixed points ------------------------------------------------------
 
-def _comm_eval(p: LaurentPoly, xs) -> Fraction:
-    # polynomial evaluation; exponents are letter counts, never negative
-    total = Fraction(0)
-    for exps, coeff in p.terms.items():
-        value = coeff
-        for x, e in zip(xs, exps):
-            if e:
-                value *= x ** e
-        total += value
-    return total
-
-
-def _comm_partial(p: LaurentPoly, j: int) -> LaurentPoly:
-    out = {}
-    for exps, coeff in p.terms.items():
-        e = exps[j]
-        if e:
-            key = exps[:j] + (e - 1,) + exps[j + 1:]
-            out[key] = out.get(key, Fraction(0)) + e * coeff
-    return LaurentPoly(p.nvars, out)
-
-
 def translated_constant_part(map_: PolyMap, c: Sequence):
     """Constant part of the translation conjugate, without building it.
 
@@ -245,93 +223,25 @@ def translated_constant_part(map_: PolyMap, c: Sequence):
         yield total - c[i]
 
 
-def _candidate_point(seed: int, attempt: int, n: int) -> list:
-    rng = random.Random(seed * 1_000_003 + attempt * 7919 + 17)
-    point = []
-    for _ in range(n):
-        num = rng.randrange(2, 10)
-        den = rng.randrange(1, num)
-        sign = rng.choice((1, -1))
-        point.append(Fraction(sign * num, den))
-    return point
+def fixed_point(action: TorusAction) -> tuple:
+    """The rational point fixed by the whole action, read off sigma.
 
-
-def _lattice_candidates(n: int, radius: int):
-    # small integer vectors, nearest the origin first; order is deterministic
-    from itertools import product
-    span = range(-radius, radius + 1)
-    points = sorted(product(span, repeat=n),
-                    key=lambda p: (sum(abs(v) for v in p), p))
-    for point in points:
-        yield tuple(Fraction(v) for v in point)
-
-
-def fixed_point(action: TorusAction, seed: int = 0,
-                max_attempts: int = 16, max_newton: int = 25) -> tuple:
-    """A rational point fixed by the whole action.
-
-    Staged heuristic: an origin-fixing action returns 0 outright; small
-    integer vectors are probed next (desk-scale corpora are conjugated by
-    small translations, and the probe is symbolic verification itself, so
-    it can never return a wrong answer); after that the action is
-    specialized at deterministic pseudo-random torus points, the linearized
-    system (A(t*) - I) c = -const(t*) seeds a damped exact Newton iteration
-    on the abelianized fixed-point equations, iterates are rounded through
-    continued fractions (Fraction.limit_denominator), and every candidate
-    is verified symbolically before being returned.  The returned vector
-    therefore always satisfies the zero-constant-part contract; exhaustion
-    raises FixedPointNotFound.
+    Write sigma(t)(z_i) = sum_m t^m g_{i,m}(z).  Compatibility makes each
+    t-constant part g_{i,0} invariant, and an effective action is conjugate
+    to a diagonal linear action with a non-singular weight matrix, whose
+    only invariants are constants.  So g_{i,0} is a constant, and
+    evaluating sigma(t)(z_i) at a fixed point c shows that this constant is
+    c_i (Bialynicki-Birula's argument, "Remarks on the action of an
+    algebraic torus on k^n", 1966).  The point c, with c_i the t^0
+    coefficient of the constant term of sigma(t)(z_i), is verified
+    symbolically before it is returned.  Otherwise FixedPointNotFound is
+    raised; for a genuine action that proves it is not effective.
     """
-    n = action.rank
     consts = constant_part(action.map)
-    if all(not c for c in consts):
-        return (Fraction(0),) * n
-
-    if n <= 3:
-        for cand in _lattice_candidates(n, 3):
-            if not any(translated_constant_part(action.map, cand)):
-                return cand
-
-    rounding = (1, 10, 1000, 10 ** 6, 10 ** 12, 10 ** 24)
-    for attempt in range(max_attempts):
-        point = _candidate_point(seed, attempt, n)
-        spec = specialize(action, point)
-        a = scalar_linear_part(spec)
-        b = constant_part(spec)
-        system = [[a[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-        x = linalg.solve_particular(system, [-v for v in b])
-        if x is None:
-            continue
-        comm = [abelianize(img) for img in spec.images]
-        partials = [[_comm_partial(comm[i], j) for j in range(n)] for i in range(n)]
-        residual = [_comm_eval(comm[i], x) - x[i] for i in range(n)]
-        for _ in range(max_newton):
-            for bound in rounding:
-                cand = tuple(v.limit_denominator(bound) for v in x)
-                if not any(translated_constant_part(action.map, cand)):
-                    return cand
-            if all(not r for r in residual):
-                # exact root of the specialized system that fails the symbolic
-                # check: not a fixed point of the full action; try elsewhere
-                break
-            jac = [[_comm_eval(partials[i][j], x) - int(i == j) for j in range(n)]
-                   for i in range(n)]
-            delta = linalg.solve_particular(jac, [-r for r in residual])
-            if delta is None:
-                break
-            # damped step: insist the residual 1-norm strictly decreases
-            size = sum(abs(r) for r in residual)
-            step = Fraction(1)
-            for _ in range(24):
-                trial = [(xi + step * di).limit_denominator(10 ** 40)
-                         for xi, di in zip(x, delta)]
-                trial_residual = [_comm_eval(comm[i], trial) - trial[i]
-                                  for i in range(n)]
-                if sum(abs(r) for r in trial_residual) < size:
-                    break
-                step /= 2
-            else:
-                break
-            x, residual = trial, trial_residual
-    raise FixedPointNotFound(
-        f"no rational fixed point found after {max_attempts} specializations")
+    center = tuple(c.constant_coeff() for c in consts)
+    # with no constant terms center is the origin, which is then fixed
+    if any(consts) and any(translated_constant_part(action.map, center)):
+        raise FixedPointNotFound(
+            "the t-constant part of the constant terms is not a fixed point: "
+            "the action is not effective, or not an action")
+    return center

@@ -67,9 +67,8 @@ class TestLinearize:
         assert run(["linearize", str(path)]) == 2
         assert "axioms fail" in capsys.readouterr().err
 
-    def test_max_degree_and_seed_flags(self, ex_a_file, capsys):
-        assert run(["linearize", ex_a_file, "--max-degree", "4",
-                    "--seed", "9"]) == 0
+    def test_max_degree_flag(self, ex_a_file, capsys):
+        assert run(["linearize", ex_a_file, "--max-degree", "4"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["degree"] == 4 and data["verified"] is True
 
@@ -199,6 +198,17 @@ class TestUsageErrors:
         path.write_text("rank 1\naction\nz1 -> z9\nend\n")
         assert run(["check", str(path)]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["z1^50000000", "(z1 + z2)^40",
+                                      "(z1 + z2)^10*(z1 + z2)^10"],
+                             ids=["word_length", "power_products",
+                                  "product_products"])
+    def test_oversized_expansion_is_parse_error(self, expr, tmp_path, capsys):
+        path = tmp_path / "big.act"
+        path.write_text(f"rank 2\naction\nz1 -> {expr}\nz2 -> t2*z2\nend\n")
+        assert run(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: 3:") and err.count("\n") == 1
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -1,14 +1,17 @@
 """The linearization pipeline on worked examples and constructed failures."""
 
 import importlib
+import random
+from fractions import Fraction
 
 import pytest
 
-from falin import (AxiomsFail, FixedPointNotFound, FreePoly, LaurentPoly,
-                   NotEffective, NotPolynomialInverseWithinBound, PolyMap,
-                   TorusAction, build_phi, build_tau, check_axioms,
-                   conjugate_by_translation, extract_beta, gen_action,
-                   identity_map, linearize, parse, verify_conjugation)
+from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
+                   LaurentPoly, NotEffective, NotPolynomialInverseWithinBound,
+                   PolyMap, TorusAction, build_phi, build_tau, check_axioms,
+                   constant_part, conjugate_by_translation, extract_beta,
+                   gen_action, identity_map, linearize, parse,
+                   verify_conjugation)
 from falin.corpusgen import conjugated_action
 from falin.errors import NotDiagonalizable
 
@@ -227,3 +230,38 @@ class TestCertificate:
         assert linearize(ex_a).verified
         assert linearize(moved).verified
         assert calls == []
+
+
+class TestFixedPoint:
+    """The fixed point is read off the t-constant part of the constant terms."""
+
+    def test_rational_translations_recover_the_moved_point(self):
+        nonzero = (-7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7)
+        for i in range(24):
+            rank = 2 + i % 3
+            spec = CorpusSpec(rank=rank, seed=1000 + i,
+                              n_elementary=1 + (i // 3) % 2,
+                              max_poly_degree=2, weight_bound=3)
+            action, truth = gen_action(spec)
+            rng = random.Random(i)
+            shift = [Fraction(rng.choice(nonzero), rng.randint(2, 5))
+                     for _ in range(rank)]
+            # z -> f(z - shift) + shift fixes the fixed point of f moved by shift
+            moved = TorusAction(conjugate_by_translation(
+                action.map, [-s for s in shift]))
+            report = linearize(moved)
+            assert report.verified
+            assert report.fixed_point == tuple(
+                c + s for c, s in zip(constant_part(truth.alpha_inverse), shift))
+
+    def test_non_effective_action_without_constant_invariants(self):
+        # a genuine action whose t-constant parts g_{i,0} are not constants:
+        # the read-off point is not fixed, so no fixed point is reported
+        spec = CorpusSpec(rank=2, seed=34, n_elementary=2, max_poly_degree=2,
+                          weight_bound=3, force_effective=False,
+                          weights=((1, 0), (-1, 0)), include_linear=False)
+        action, _ = gen_action(spec)
+        moved = TorusAction(conjugate_by_translation(action.map, [0, 1]))
+        assert check_axioms(moved).ok
+        with pytest.raises(FixedPointNotFound):
+            linearize(moved)

@@ -8,6 +8,7 @@ import pytest
 
 from falin import (FreePoly, LaurentPoly, ParseError, emit_report,
                    laurent_str, linearize, map_document, parse, poly_str, render)
+from falin.textio import MAX_PRODUCTS, MAX_WORD_LENGTH
 
 from helpers import rand_laurent_map, rand_scalar_map
 
@@ -73,6 +74,30 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("expr, op", [
+        (f"z1^{MAX_WORD_LENGTH + 1}", "^"),
+        ("z1^50000000", "^"),
+        (f"(z1^100)^{MAX_WORD_LENGTH // 100 + 1}", "^"),
+        (f"(z1 + 1)^{MAX_PRODUCTS.bit_length()}", "^"),
+        ("(z1 + z2)^18", "^"),
+        (f"z1^{MAX_WORD_LENGTH}*z2", "*"),
+        ("(z1 + z2)^10*(z1 + z2)^10", "*"),
+    ], ids=["z_word", "z_huge", "paren_word", "paren_products", "paren_huge",
+            "product_word", "product_products"])
+    def test_oversized_expansion_rejected_at_operator(self, expr, op):
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 2\nmap\nz1 -> {expr}\nz2 -> z2\nend\n")
+        col = len("z1 -> ") + expr.rindex(op) + 1
+        assert (err.value.line, err.value.col) == (3, col)
+
+    def test_expansions_at_the_limits_accepted(self):
+        k = MAX_PRODUCTS.bit_length() - 1      # 2^k <= MAX_PRODUCTS
+        doc = parse(f"rank 1\nmap\nz1 -> z1^{MAX_WORD_LENGTH} + (z1 + 1)^{k}"
+                    f"\nend\n")
+        image = doc.images()[0]
+        assert image.degree() == MAX_WORD_LENGTH
+        assert image.coeff((1,) * k) == 1 and len(image.terms) == k + 2
 
     def test_all_listed_errors_have_positions(self):
         bad_inputs = [
