@@ -1,7 +1,13 @@
 """Exact coefficient arithmetic: rational scalars and Laurent polynomials.
 
-The ground field is the rationals.  Scalars are ``fractions.Fraction``
-values (always normalized: positive denominator, gcd 1, zero as 0/1).
+The ground field is the rationals.  A scalar is stored as an ``int`` when
+it is an integer and as a ``fractions.Fraction`` otherwise; never as a
+float.  ``normalize_scalar`` is the one place that turns an incoming value
+into that form, and every constructor here and in ``freealg`` goes through
+it.  Arithmetic may still yield an integral ``Fraction`` (1/2 * 2), which
+compares, hashes and prints like the ``int``.  Any division or negative
+power goes through ``Fraction``, so an ``int`` operand never produces a
+float.
 
 A Laurent polynomial in ``nvars`` torus variables t1..t{nvars} is a finite
 map from dense integer exponent vectors (tuples of length ``nvars``,
@@ -26,11 +32,14 @@ from .errors import NotMonomial, VariableMismatch, ZeroTorusPoint
 Exponents = "tuple[int, ...]"
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def normalize_scalar(value):
+    """Stored form of an exact rational: ``int`` if integral, else ``Fraction``."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -48,11 +57,14 @@ class LaurentPoly:
                     raise VariableMismatch(
                         f"exponent vector {exps} has length {len(exps)}, "
                         f"expected {nvars}")
-                coeff = _as_fraction(coeff)
+                coeff = normalize_scalar(coeff)
+                prev = clean.get(exps)
+                if prev is not None:
+                    coeff = normalize_scalar(prev + coeff)
                 if coeff:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                    if not clean[exps]:
-                        del clean[exps]
+                    clean[exps] = coeff
+                elif prev is not None:
+                    del clean[exps]
         self.nvars = nvars
         self.terms = clean
 
@@ -64,11 +76,11 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def const(cls, nvars: int, value) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def var(cls, nvars: int, index: int, power: int = 1) -> "LaurentPoly":
@@ -77,11 +89,11 @@ class LaurentPoly:
             raise VariableMismatch(f"t{index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index - 1] = power
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Iterable[int], coeff=1) -> "LaurentPoly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -92,7 +104,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+            other = normalize_scalar(other)
             if not other:
                 return not self.terms
             return self.terms == {(0,) * self.nvars: other}
@@ -112,9 +124,9 @@ class LaurentPoly:
         """Terms in lexicographic exponent order (the canonical print order)."""
         return sorted(self.terms.items())
 
-    def constant_coeff(self) -> Fraction:
+    def constant_coeff(self):
         """Coefficient at the zero exponent vector."""
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def as_unit_monomial(self):
         """Return (exponents, coeff) if this is a single nonzero term, else None."""
@@ -131,10 +143,11 @@ class LaurentPoly:
                 f"operands over {self.nvars} and {other.nvars} torus variables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # LaurentPoly first: failing isinstance against the Fraction ABC is slow
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(self.nvars, other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         self._check(other)
         if not self.terms:
             return other
@@ -162,26 +175,26 @@ class LaurentPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(self.nvars, other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         return self.__add__(other.__neg__())
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = normalize_scalar(other)
             if not other:
                 return LaurentPoly.zero(self.nvars)
             res = LaurentPoly.__new__(LaurentPoly)
             res.nvars = self.nvars
             res.terms = {e: c * other for e, c in self.terms.items()}
             return res
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         self._check(other)
         # single-term factors cannot produce colliding keys
         if len(other.terms) == 1:
@@ -219,8 +232,9 @@ class LaurentPoly:
             if unit is None:
                 raise NotMonomial("negative power of a non-monomial Laurent polynomial")
             exps, coeff = unit
+            coeff = Fraction(coeff) ** power
             return LaurentPoly(self.nvars,
-                               {tuple(power * e for e in exps): coeff ** power})
+                               {tuple(power * e for e in exps): coeff})
         result = LaurentPoly.one(self.nvars)
         for _ in range(power):
             result = result * self
@@ -233,7 +247,8 @@ class LaurentPoly:
         if len(point) != self.nvars:
             raise VariableMismatch(
                 f"point of length {len(point)} for {self.nvars} variables")
-        values = [_as_fraction(x) for x in point]
+        # Fraction entries, so that negative exponents divide exactly
+        values = [Fraction(normalize_scalar(x)) for x in point]
         if any(not x for x in values):
             raise ZeroTorusPoint("evaluation point has a zero entry")
         total = Fraction(0)

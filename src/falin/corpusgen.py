@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import linalg
@@ -52,9 +51,10 @@ def substitution_cost(outer: PolyMap, inner: PolyMap) -> int:
     return total
 
 
-def _compose_guarded(g: PolyMap, f: PolyMap, cap: int) -> PolyMap:
-    # degree prefilter: the bound over-counts (conjugation cancels a lot),
-    # so only blatant blowups are rejected before doing any real work
+def _prefilter(g: PolyMap, f: PolyMap, cap: int):
+    """Reject compose(g, f) on g's degrees and term counts, before any work."""
+    # the degree bound over-counts (conjugation cancels a lot), so only
+    # blatant blowups are rejected here
     g_degrees = [max(1, f_degree(img)) for img in g.images]
     bound = max((sum(g_degrees[l - 1] for l in word) if word else 0
                  for img in f.images for word in img.terms), default=0)
@@ -62,6 +62,10 @@ def _compose_guarded(g: PolyMap, f: PolyMap, cap: int) -> PolyMap:
         raise DegreeBlowupExceeded(f"composition degree bound {bound} too large")
     if substitution_cost(g, f) > _COST_CAP:
         raise DegreeBlowupExceeded("composition too expensive for the corpus cap")
+
+
+def _compose_guarded(g: PolyMap, f: PolyMap, cap: int) -> PolyMap:
+    _prefilter(g, f, cap)
     result = compose(g, f)
     _check_size(result, cap)
     return result
@@ -105,7 +109,7 @@ def gen_elementary(rank: int, rng: random.Random, max_poly_degree: int,
     others = [i for i in range(1, rank + 1) if i != target]
     terms = {}
     if not others:
-        terms[()] = Fraction(rng.choice(_NONZERO))
+        terms[()] = rng.choice(_NONZERO)
     else:
         for _ in range(rng.randrange(1, 3)):
             length = rng.randrange(1, max_poly_degree + 1)
@@ -125,9 +129,9 @@ def gen_elementary(rank: int, rng: random.Random, max_poly_degree: int,
 
 
 def _random_unimodular(rank: int, rng: random.Random):
-    m = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
     if rank == 1:
-        return [[Fraction(rng.choice((1, -1)))]]
+        return [[rng.choice((1, -1))]]
     for _ in range(2 * rank):
         i = rng.randrange(rank)
         j = rng.randrange(rank)
@@ -151,10 +155,23 @@ def _check_size(pm: PolyMap, cap: int):
 
 def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
                       degree_cap: int = 12):
-    """sigma = alpha o tau_M o alpha^-1, verified against its ground truth."""
+    """sigma = alpha o tau_M o alpha^-1, verified against its ground truth.
+
+    Composition is associative, so sigma is built as
+    compose(alpha, compose(tau, alpha^-1)).  Its outer step substitutes
+    alpha's scalar images, so every prefix product along a word keeps
+    integer coefficients; compose(compose(alpha, tau), alpha^-1) would carry
+    a Laurent coefficient on each.  The caps reject exactly what they
+    rejected in that order: alpha o tau scales each image of alpha by a
+    unit t-monomial, so it has alpha's term counts and degrees, and every
+    guard on it is run on alpha instead, in the same order.
+    """
     tau = build_tau(weights)
-    scaled = _compose_guarded(alpha, tau.map, degree_cap)
-    sigma_map = _compose_guarded(scaled, alpha_inverse, degree_cap)
+    _prefilter(alpha, tau.map, degree_cap)
+    _check_size(alpha, degree_cap)  # the size of alpha o tau
+    _prefilter(alpha, alpha_inverse, degree_cap)
+    sigma_map = compose(alpha, compose(tau.map, alpha_inverse))
+    _check_size(sigma_map, degree_cap)
     action = TorusAction(sigma_map)
     if substitution_cost(action.map, action.map) > _COST_CAP:
         raise DegreeBlowupExceeded("action too expensive to check against itself")

@@ -15,11 +15,10 @@ those post-conditions rather than any formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .coefficients import LaurentPoly
+from .coefficients import LaurentPoly, normalize_scalar
 from .errors import (NotPolynomialInverseWithinBound, RankMismatch,
                      SingularLinearPart, SingularMatrix)
 from .freealg import EMPTY_WORD, FreePoly, f_degree, f_substitute, merge_nvars
@@ -96,7 +95,7 @@ def constant_part(f: PolyMap) -> list:
 
 
 def scalar_linear_part(f: PolyMap) -> list:
-    """Linear part as a Fraction matrix (scalar maps only)."""
+    """Linear part as a matrix of exact scalars (scalar maps only)."""
     rows = linear_part(f)
     out = []
     for row in rows:
@@ -179,7 +178,7 @@ def conjugate_by_translation(f: PolyMap, c: Sequence) -> PolyMap:
     """
     if len(c) != f.rank:
         raise RankMismatch(f"translation of length {len(c)} for rank {f.rank}")
-    c = [Fraction(x) for x in c]
+    c = [normalize_scalar(x) for x in c]
     if not any(c):
         return f
     shifted = [FreePoly.gen(f.rank, j) + FreePoly.const(f.rank, c[j - 1])
@@ -201,7 +200,7 @@ def linear_map(rank: int, matrix) -> PolyMap:
 def translation_map(rank: int, c: Sequence) -> PolyMap:
     """The affine map z_i -> z_i + c_i."""
     return PolyMap([
-        FreePoly(rank, {(i,): 1, EMPTY_WORD: Fraction(c[i - 1])})
+        FreePoly(rank, {(i,): 1, EMPTY_WORD: c[i - 1]})
         for i in range(1, rank + 1)])
 
 

@@ -8,7 +8,8 @@ terms.
 
 Coefficients come in two kinds:
 
-  * scalar  -- ``Fraction`` values; ``FreePoly.nvars is None``
+  * scalar  -- exact rationals: ``int`` when integral, ``Fraction``
+               otherwise, never a float; ``FreePoly.nvars is None``
   * laurent -- ``LaurentPoly`` values sharing ``FreePoly.nvars``
 
 Mixed-kind arithmetic widens scalars into the Laurent ring, which is how a
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .coefficients import LaurentPoly
+from .coefficients import LaurentPoly, normalize_scalar
 from .errors import RankMismatch
 
 Word = Tuple[int, ...]
@@ -48,7 +49,7 @@ def _normalize_coeff(coeff, nvars: Optional[int]):
     if nvars is None:
         if isinstance(coeff, LaurentPoly):
             raise RankMismatch("laurent coefficient in a scalar polynomial")
-        return coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        return normalize_scalar(coeff)
     if isinstance(coeff, LaurentPoly):
         if coeff.nvars != nvars:
             raise RankMismatch(
@@ -106,7 +107,7 @@ class FreePoly:
         """The generator z_index (1-based)."""
         if not 1 <= index <= rank:
             raise RankMismatch(f"z{index} out of range for rank {rank}")
-        one = Fraction(1) if nvars is None else LaurentPoly.one(nvars)
+        one = 1 if nvars is None else LaurentPoly.one(nvars)
         return cls._raw(rank, nvars, {(index,): one})
 
     # -- structure ----------------------------------------------------
@@ -139,7 +140,7 @@ class FreePoly:
         got = self.terms.get(tuple(word))
         if got is not None:
             return got
-        return Fraction(0) if self.nvars is None else LaurentPoly.zero(self.nvars)
+        return 0 if self.nvars is None else LaurentPoly.zero(self.nvars)
 
     def constant_coeff(self):
         return self.coeff(EMPTY_WORD)
@@ -160,8 +161,9 @@ class FreePoly:
         if len(self.terms) != 1 or EMPTY_WORD not in self.terms:
             return None
         coeff = self.terms[EMPTY_WORD]
-        if isinstance(coeff, Fraction):
-            return FreePoly._raw(self.rank, None, {EMPTY_WORD: 1 / coeff})
+        if not isinstance(coeff, LaurentPoly):
+            inverse = normalize_scalar(1 / Fraction(coeff))
+            return FreePoly._raw(self.rank, None, {EMPTY_WORD: inverse})
         unit = coeff.as_unit_monomial()
         if unit is None:
             return None
@@ -175,11 +177,12 @@ class FreePoly:
         return merge_nvars(self.nvars, other.nvars)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        # FreePoly first: a failed isinstance against the Fraction ABC is slow
+        if not isinstance(other, FreePoly):
+            if not isinstance(other, (int, Fraction, LaurentPoly)):
+                return NotImplemented
             other = FreePoly(self.rank, {EMPTY_WORD: other},
                              other.nvars if isinstance(other, LaurentPoly) else self.nvars)
-        elif not isinstance(other, FreePoly):
-            return NotImplemented
         nvars = self._join(other)
         out = dict(self.terms)
         for word, coeff in other.terms.items():
@@ -210,11 +213,11 @@ class FreePoly:
         return self.__neg__().__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, FreePoly):
+            return f_mul(self, other)
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return self.scale(other)
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return f_mul(self, other)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -329,6 +332,10 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
                 out[w2] = acc
             elif w2 in out:
                 del out[w2]
+    # only a scalar p under Laurent images can mix kinds (its empty word
+    # meets the scalar empty product); otherwise every value has the kind
+    if nvars == p.nvars:
+        return FreePoly._raw(rank, nvars, out)
     return FreePoly(rank, out, nvars)
 
 

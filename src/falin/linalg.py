@@ -1,14 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
-Everything is a list of lists of Fraction.  Sizes here are the algebra
-rank (a handful), so plain Gaussian elimination is the right tool; there
-is no pivoting strategy beyond "first nonzero".
+Matrices are lists of lists of exact rationals, ``int`` or ``Fraction``.
+``rref`` and ``det`` convert their input to ``Fraction`` before they
+eliminate, so no division of two ``int`` entries ever yields a float, and
+their results (and those of ``kernel_basis``, ``solve_particular`` and
+``inverse``) are ``Fraction`` throughout.  Sizes here are the algebra rank
+(a handful), so plain Gaussian elimination is the right tool; there is no
+pivoting strategy beyond "first nonzero".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .coefficients import normalize_scalar
 from .errors import SingularMatrix
 
 Matrix = "list[list[Fraction]]"
@@ -16,7 +21,7 @@ Vector = "list[Fraction]"
 
 
 def frac_matrix(rows) -> list:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[Fraction(normalize_scalar(x)) for x in row] for row in rows]
 
 
 def identity(n: int) -> list:
@@ -25,7 +30,7 @@ def identity(n: int) -> list:
 
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    m = frac_matrix(rows)
     if not m:
         return [], []
     ncols = len(m[0]) if ncols is None else ncols
@@ -90,7 +95,7 @@ def solve_particular(a, b):
 
 def det(a) -> Fraction:
     n = len(a)
-    m = [list(r) for r in a]
+    m = frac_matrix(a)
     result = Fraction(1)
     for c in range(n):
         pivot_row = None
@@ -114,7 +119,7 @@ def det(a) -> Fraction:
 
 def int_det(a) -> int:
     """Determinant of an integer matrix."""
-    value = det(frac_matrix(a))
+    value = det(a)
     if value.denominator != 1:
         raise ValueError("int_det needs an integer matrix")
     return value.numerator

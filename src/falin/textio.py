@@ -19,7 +19,9 @@ commute with each other; t-variables commute with everything.  A power on
 a z-variable must be a positive integer (it expands into repeated
 letters); powers on t-variables may be any integer.  A power or product
 that would build words longer than MAX_WORD_LENGTH letters, or form more
-than MAX_PRODUCTS products of terms, is a parse error.  Map documents may
+than MAX_PRODUCTS products of terms (a Laurent coefficient counting one
+term per t-monomial), is a parse error, and so is a power above
+MAX_WORD_LENGTH of an expression without z-letters.  Map documents may
 not mention t-variables.
 
 Printing produces the canonical form: free terms in graded-lex word
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .coefficients import LaurentPoly
+from .coefficients import LaurentPoly, normalize_scalar
 from .endo import PolyMap
 from .errors import ParseError
 from .freealg import FreePoly
@@ -47,11 +49,14 @@ from .torus import TorusAction
 KEYWORDS = {"rank", "action", "map", "end"}
 
 # Powers and products expand while parsing, so a short document could
-# otherwise ask for a word of 5e7 letters (z1^50000000) or for 2^k words
-# ((z1 + z2)^k, or k factors (z1 + z2) multiplied).  An expansion is
-# rejected when its words would exceed MAX_WORD_LENGTH letters, or when the
-# number of term products it forms (s^k for a power of an s-term base,
-# s * r * ... for a product) exceeds MAX_PRODUCTS.
+# otherwise ask for a word of 5e7 letters (z1^50000000), for 2^k words
+# ((z1 + z2)^k, or k factors (z1 + z2) multiplied), for O(k^2) Laurent
+# terms ((t1 + t2 + 1)^k) or for k multiplications ((1)^k).  An expansion
+# is rejected when its words would exceed MAX_WORD_LENGTH letters, when
+# the number of term products it forms (s^k for a power of an s-term
+# base, s * r * ... for a product, where each t-monomial of a Laurent
+# coefficient is a term) exceeds MAX_PRODUCTS, or when it raises an
+# expression without z-letters to a power above MAX_WORD_LENGTH.
 MAX_WORD_LENGTH = 10_000
 MAX_PRODUCTS = 100_000
 
@@ -245,12 +250,12 @@ class _Parser:
 
     def term(self) -> FreePoly:
         poly = self.factor()
-        length, count = poly.degree(), len(poly.terms)
+        length, count = poly.degree(), _expansion_terms(poly)
         while self.peek().kind == "*":
             star = self.advance()
             rhs = self.factor()
             length += rhs.degree()
-            count *= len(rhs.terms)
+            count *= _expansion_terms(rhs)
             _check_expansion(length, count, star)
             poly = poly * rhs
         return poly
@@ -266,15 +271,18 @@ class _Parser:
                 raise ParseError("power of a z-variable must be a positive integer",
                                  caret.line, caret.col)
             _check_expansion(power, 1, caret)
-            return FreePoly(self.rank, {(zvar,) * power: Fraction(1)})
+            return FreePoly(self.rank, {(zvar,) * power: 1})
         if tvar is not None:
             coeff = LaurentPoly.var(self.rank, tvar, power)
             return FreePoly.const(self.rank, coeff, self.rank)
         if power >= 0:
-            length = poly.degree() * power
-            if length > 0:
-                _check_expansion(length, 1, caret)  # bounds power first
-                _check_expansion(length, len(poly.terms) ** power, caret)
+            length = max(poly.degree(), 0) * power
+            if not length and power > MAX_WORD_LENGTH:
+                raise ParseError(f"power {power} of an expression without "
+                                 f"z-letters is more than {MAX_WORD_LENGTH}",
+                                 caret.line, caret.col)
+            _check_expansion(length, 1, caret)  # bounds power first
+            _check_expansion(length, _expansion_terms(poly) ** power, caret)
             return poly ** power
         inverse = poly.is_unit()
         if inverse is None:
@@ -320,13 +328,13 @@ class _Parser:
         raise ParseError("expected a rational, a variable, or '('",
                          tok.line, tok.col)
 
-    def rational(self) -> Fraction:
+    def rational(self):
         negative = False
         if self.peek().kind == "-":
             self.advance()
             negative = True
         num_tok = self.expect("int", "an integer")
-        value = Fraction(num_tok.value)
+        value = num_tok.value
         if self.peek().kind == "/":
             self.advance()
             den_tok = self.expect("int", "a positive denominator")
@@ -334,7 +342,13 @@ class _Parser:
                 raise ParseError("denominator must be positive",
                                  den_tok.line, den_tok.col)
             value = Fraction(num_tok.value, den_tok.value)
-        return -value if negative else value
+        return normalize_scalar(-value if negative else value)
+
+
+def _expansion_terms(poly: FreePoly) -> int:
+    """Terms an expansion multiplies: one per t-monomial of a coefficient."""
+    return sum(len(c.terms) if isinstance(c, LaurentPoly) else 1
+               for c in poly.terms.values())
 
 
 def _check_expansion(length: int, count: int, tok) -> None:
@@ -415,7 +429,7 @@ def laurent_str(p: LaurentPoly, tname=_default_tname) -> str:
 def _term_parts(word, coeff, tname):
     """(negative, magnitude) of one free term, per the canonical form."""
     word_text = _word_str(word)
-    if isinstance(coeff, Fraction):
+    if not isinstance(coeff, LaurentPoly):
         negative = coeff < 0
         mag = abs(coeff)
         if word_text and mag == 1:

@@ -16,11 +16,10 @@ index arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
-from .coefficients import LaurentPoly
+from .coefficients import LaurentPoly, normalize_scalar
 from .endo import PolyMap, compose, constant_part, identity_map
 from .errors import (FixedPointNotFound, NotDiagonalizable, RankMismatch,
                      ZeroTorusPoint)
@@ -109,7 +108,7 @@ def check_axioms(action: TorusAction) -> AxiomVerdict:
         if lhs.images[i] != sigma_st.images[i]:
             word, a, b = _first_difference(lhs.images[i], sigma_st.images[i])
             return AxiomVerdict(False, "compatibility", i + 1, word, a, b)
-    ones = [Fraction(1)] * n
+    ones = [1] * n
     at_one = specialize(action, ones)
     ident = identity_map(n)
     for i in range(n):
@@ -121,7 +120,7 @@ def check_axioms(action: TorusAction) -> AxiomVerdict:
 
 def specialize(action: TorusAction, point: Sequence) -> PolyMap:
     """Evaluate every coefficient at a torus point, yielding a scalar map."""
-    point = [Fraction(x) for x in point]
+    point = [normalize_scalar(x) for x in point]
     if len(point) != action.rank:
         raise RankMismatch(f"point of length {len(point)} for rank {action.rank}")
     if any(not x for x in point):
@@ -181,7 +180,7 @@ def weight_decomposition(matrix, nvars: Optional[int] = None):
                 support.update(matrix[i][j].terms)
             support.add(mu)
             for exps in sorted(support):
-                row = [matrix[i][j].terms.get(exps, Fraction(0)) for j in range(n)]
+                row = [matrix[i][j].terms.get(exps, 0) for j in range(n)]
                 if exps == mu:
                     row[i] -= 1
                 rows.append(row)
@@ -209,11 +208,11 @@ def translated_constant_part(map_: PolyMap, c: Sequence):
     Entries are computed lazily, so ``not any(...)`` stops at the first
     nonzero one.
     """
-    c = [Fraction(x) for x in c]
+    c = [normalize_scalar(x) for x in c]
     for i, img in enumerate(map_.images):
         total = 0
         for word, coeff in img.terms.items():
-            factor = Fraction(1)
+            factor = 1
             for letter in word:
                 factor *= c[letter - 1]
                 if not factor:

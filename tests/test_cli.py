@@ -200,9 +200,10 @@ class TestUsageErrors:
         assert "parse error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("expr", ["z1^50000000", "(z1 + z2)^40",
-                                      "(z1 + z2)^10*(z1 + z2)^10"],
+                                      "(z1 + z2)^10*(z1 + z2)^10",
+                                      "(t1 + t2 + 1)^60"],
                              ids=["word_length", "power_products",
-                                  "product_products"])
+                                  "product_products", "laurent_power"])
     def test_oversized_expansion_is_parse_error(self, expr, tmp_path, capsys):
         path = tmp_path / "big.act"
         path.write_text(f"rank 2\naction\nz1 -> {expr}\nz2 -> t2*z2\nend\n")

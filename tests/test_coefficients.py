@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from falin import LaurentPoly, VariableMismatch, ZeroTorusPoint
+from falin import LaurentPoly, VariableMismatch, ZeroTorusPoint, laurent_str
 from falin.errors import NotMonomial
 
 from helpers import rand_laurent
@@ -27,6 +27,31 @@ class TestExactScalar:
     def test_exactness(self):
         third = Fraction(1, 3)
         assert third + third + third == 1
+
+    def test_integers_stored_as_int(self):
+        p = L(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): 3})
+        assert [type(c) for _, c in p.sorted_terms()] == [int, Fraction, int]
+        assert type(LaurentPoly.one(1).constant_coeff()) is int
+        assert type(LaurentPoly.var(1, 1).terms[(1,)]) is int
+
+    def test_negative_power_is_exact(self):
+        inverse = LaurentPoly.monomial(1, [1], 2) ** -1
+        assert inverse == LaurentPoly.monomial(1, [-1], Fraction(1, 2))
+        assert type(inverse.terms[(-1,)]) is Fraction
+
+    def test_int_and_integral_fraction_agree(self):
+        as_int = L(1, {(1,): 2, (0,): -1})
+        # arithmetic may leave an integral Fraction: (4/3 * 3/2) t1 - 1
+        as_fraction = (L(1, {(1,): Fraction(4, 3), (0,): Fraction(-2, 3)})
+                       * Fraction(3, 2))
+        assert type(as_fraction.terms[(1,)]) is Fraction
+        assert as_int == as_fraction and as_fraction == as_int
+        assert laurent_str(as_int) == laurent_str(as_fraction) == "-1 + 2*t1"
+        assert repr(as_int) == repr(as_fraction)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            L(1, {(0,): 0.5})
 
 
 class TestAdd:
@@ -111,10 +136,15 @@ class TestSubstMonomial:
 
 
 def laurents(nvars):
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    coeffs = st.one_of(
+        st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4))
     exps = st.tuples(*[st.integers(-3, 3)] * nvars)
-    return st.dictionaries(exps, coeffs, max_size=4).map(
+    polys = st.dictionaries(exps, coeffs, max_size=4).map(
         lambda d: LaurentPoly(nvars, d))
+    # the same values, with integral coefficients held as Fraction
+    unnormalized = polys.map(lambda p: p * Fraction(3, 2) * Fraction(2, 3))
+    return st.one_of(polys, unnormalized)
 
 
 class TestRingLaws:

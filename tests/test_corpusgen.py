@@ -1,14 +1,26 @@
 """Corpus generation: reproducibility, ground truth, degree caps."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
-                   compose, identity_map, render, verify_conjugation)
-from falin.corpusgen import (CorpusSpec, conjugated_action, gen_action,
-                             gen_elementary)
+                   compose, identity_map, map_document, render,
+                   verify_conjugation)
+from falin.corpusgen import (CorpusSpec, _compose_guarded, conjugated_action,
+                             gen_action, gen_elementary)
 from falin.linearize import build_tau
+
+from test_acceptance import corpus_spec
+
+# SHA-256 of what `falin generate` writes for acceptance specs 0-99, computed
+# by the code before integer-first scalars, which associated the conjugation
+# as compose(compose(alpha, tau), alpha^-1) and held every scalar as a
+# Fraction; generated bytes must depend on neither choice.
+CORPUS_GENERATE_DIGEST = (
+    "cc47fa7c9b00264e9590c228111e1b045dd62b07ba6e7a51b7ca5a6827c20272")
 
 
 class TestGenElementary:
@@ -47,6 +59,31 @@ class TestConjugatedAction:
         weights = [[2, -1], [0, 1]]
         action = conjugated_action(ident, ident, weights)
         assert action.map == build_tau(weights).map
+
+    def test_equals_the_other_association(self):
+        for seed in (1, 5, 22, 50, 77):
+            _, truth = gen_action(corpus_spec(seed))
+            tau = build_tau(truth.weights).map
+            action = conjugated_action(truth.alpha, truth.alpha_inverse,
+                                       truth.weights)
+            assert action.map == compose(compose(truth.alpha, tau),
+                                         truth.alpha_inverse)
+
+    @pytest.mark.parametrize("cap", [2, 4], ids=["alpha_too_big",
+                                                 "result_too_big"])
+    def test_rejects_what_the_other_association_rejects(self, cap):
+        z1, z2 = FreePoly.gen(2, 1), FreePoly.gen(2, 2)
+        alpha = compose(PolyMap([z1, z2 + z1 * z1]),
+                        PolyMap([z1 + z2 * z2, z2]))
+        alpha_inv = compose(PolyMap([z1 - z2 * z2, z2]),
+                            PolyMap([z1, z2 - z1 * z1]))
+        weights = [[1, 2], [-1, 1]]
+        with pytest.raises(DegreeBlowupExceeded) as new:
+            conjugated_action(alpha, alpha_inv, weights, cap)
+        with pytest.raises(DegreeBlowupExceeded) as old:
+            scaled = _compose_guarded(alpha, build_tau(weights).map, cap)
+            _compose_guarded(scaled, alpha_inv, cap)
+        assert str(new.value) == str(old.value)
 
 
 class TestGenAction:
@@ -89,6 +126,15 @@ class TestGenAction:
                           max_poly_degree=9, weight_bound=1, degree_cap=2)
         with pytest.raises(DegreeBlowupExceeded):
             gen_action(spec)
+
+    def test_generate_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(100):
+            action, truth = gen_action(corpus_spec(seed))
+            text = (render(action) + map_document(truth.alpha)
+                    + json.dumps(truth.weights, separators=(",", ":")) + "\n")
+            digest.update(text.encode())
+        assert digest.hexdigest() == CORPUS_GENERATE_DIGEST
 
     def test_no_linear_factor(self):
         spec = CorpusSpec(rank=2, seed=5, n_elementary=0, max_poly_degree=2,

@@ -146,6 +146,11 @@ class TestConjugateByTranslation:
                 conjugate_by_translation(f, c), [-x for x in c])
             assert back == f
 
+    def test_float_translation_rejected(self):
+        # Fraction(0.1) would be exact but not 1/10
+        with pytest.raises(TypeError):
+            conjugate_by_translation(identity_map(1), [0.1])
+
 
 class TestConjugateByLinear:
     def test_identity_matrix(self):
@@ -185,6 +190,10 @@ class TestConjugateByLinear:
     def test_singular_matrix(self):
         with pytest.raises(SingularMatrix):
             conjugate_by_linear(identity_map(2), [[1, 1], [1, 1]])
+
+    def test_float_matrix_rejected(self):
+        with pytest.raises(TypeError):
+            conjugate_by_linear(identity_map(2), [[0.5, 0], [0, 1]])
 
 
 class TestLinearPartOrderLaw:

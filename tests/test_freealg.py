@@ -66,6 +66,26 @@ class TestSubstitute:
         out = f_substitute(z1 + z2, images)
         assert out.nvars == 2
         assert out == images[0] + images[1]
+        # the empty word meets the scalar empty product and is widened too
+        out = f_substitute(z1 + FreePoly.const(2, 3), images)
+        assert out == images[0] + FreePoly.const(2, 3, 2)
+        assert all(isinstance(c, LaurentPoly) for c in out.terms.values())
+
+    def test_laurent_polynomial_under_scalar_images(self):
+        t1 = LaurentPoly.var(2, 1)
+        p = FreePoly(2, {(1, 1): t1, (): 2 * t1}, 2)
+        out = f_substitute(p, [z1 + FreePoly.const(2, 1), z2])
+        assert out == FreePoly(2, {(1, 1): t1, (1,): 2 * t1, (): 3 * t1}, 2)
+        assert all(isinstance(c, LaurentPoly) for c in out.terms.values())
+
+
+class TestUnits:
+    def test_scalar_inverse_is_exact(self):
+        inverse = FreePoly.const(1, 2).is_unit()
+        assert inverse == FreePoly.const(1, Fraction(1, 2))
+        assert type(inverse.constant_coeff()) is Fraction
+        assert type(FreePoly.const(1, Fraction(1, 2)).is_unit()
+                    .constant_coeff()) is int
 
 
 class TestDegree:
@@ -101,7 +121,9 @@ class TestAbelianize:
 
 
 def scalar_polys(rank=2):
-    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeffs = st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3))
     words = st.lists(st.integers(1, rank), max_size=3).map(tuple)
     return st.dictionaries(words, coeffs, max_size=4).map(
         lambda d: FreePoly(rank, d))

@@ -1,0 +1,28 @@
+"""Dense exact linear algebra: int input gives Fractions, never floats."""
+
+from fractions import Fraction
+
+from falin import linalg
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+class TestIntInput:
+    def test_rref(self):
+        rows, pivots = linalg.rref([[2, 1]])
+        assert rows == [[1, Fraction(1, 2)]] and pivots == [0]
+        assert all_fractions(rows)
+
+    def test_det(self):
+        value = linalg.det([[2, 1], [1, 2]])
+        assert value == 3 and type(value) is Fraction
+
+    def test_inverse(self):
+        inverse = linalg.inverse([[2]])
+        assert inverse == [[Fraction(1, 2)]] and all_fractions(inverse)
+
+    def test_kernel_basis(self):
+        basis = linalg.kernel_basis([[2, 1]], 2)
+        assert basis == [[Fraction(-1, 2), 1]] and all_fractions(basis)

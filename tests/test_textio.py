@@ -91,6 +91,28 @@ class TestParse:
         col = len("z1 -> ") + expr.rindex(op) + 1
         assert (err.value.line, err.value.col) == (3, col)
 
+    @pytest.mark.parametrize("expr, op", [
+        ("(1)^1000000", "^"),
+        (f"(0)^{MAX_WORD_LENGTH + 1}", "^"),
+        ("(t1 + t2 + 1)^60", "^"),
+        ("*".join(["(t1 + t2)"] * 17), "*"),  # 2^17 term products
+        ("((t1 + t2 + 1)*z1)^11", "^"),
+    ], ids=["unit_power", "zero_power", "laurent_power", "laurent_product",
+            "laurent_coefficient_power"])
+    def test_oversized_laurent_expansion_rejected_at_operator(self, expr, op):
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 2\naction\nz1 -> {expr}\nz2 -> t2*z2\nend\n")
+        col = len("z1 -> ") + expr.rindex(op) + 1
+        assert (err.value.line, err.value.col) == (3, col)
+
+    def test_laurent_expansions_at_the_limits_accepted(self):
+        # 3^10 = 59,049 term products; (1)^k multiplies k times
+        doc = parse(f"rank 2\naction\nz1 -> (t1 + t2 + 1)^10"
+                    f" + (1)^{MAX_WORD_LENGTH}\nz2 -> t2*z2\nend\n")
+        coeff = doc.images()[0].constant_coeff()
+        assert len(coeff.terms) == 66 and coeff.constant_coeff() == 2
+        assert coeff.terms[(5, 5)] == 252
+
     def test_expansions_at_the_limits_accepted(self):
         k = MAX_PRODUCTS.bit_length() - 1      # 2^k <= MAX_PRODUCTS
         doc = parse(f"rank 1\nmap\nz1 -> z1^{MAX_WORD_LENGTH} + (z1 + 1)^{k}"
@@ -122,6 +144,16 @@ class TestPrint:
 
     def test_ex_a_canonical_text(self):
         assert render(parse(EX_A)) == EX_A
+
+    def test_integral_coefficients_print_as_integers(self):
+        assert render(parse("rank 1\nmap\nz1 -> 4/2*z1\nend\n")) == (
+            "rank 1\nmap\nz1 -> 2*z1\nend\n")
+        # 4 * (1/2) is held as the Fraction 2, and prints as the int would
+        as_fraction = FreePoly(1, {(1,): Fraction(1, 2)}) * Fraction(4)
+        as_int = FreePoly(1, {(1,): 2})
+        assert type(as_fraction.coeff((1,))) is Fraction
+        assert as_fraction == as_int
+        assert poly_str(as_fraction) == poly_str(as_int) == "2*z1"
 
     def test_zero(self):
         assert poly_str(FreePoly.zero(2)) == "0"

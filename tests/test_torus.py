@@ -70,6 +70,10 @@ class TestSpecialize:
     def test_at_ones_is_identity(self, ex_a):
         assert specialize(ex_a, [1, 1]) == identity_map(2)
 
+    def test_float_point_rejected(self, ex_a):
+        with pytest.raises(TypeError):
+            specialize(ex_a, [0.1, 1])
+
     def test_ex_a_at_2_3(self, ex_a):
         got = specialize(ex_a, [2, 3])
         want = PolyMap([FreePoly(2, {(1,): 2}),
