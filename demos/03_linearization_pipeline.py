@@ -3,13 +3,13 @@
 The running example conjugates the standard diagonal action by the
 elementary automorphism (z1, z2 + z1^2) and then hides the origin with a
 translation.  The pipeline undoes all of it: it finds the fixed point,
-diagonalizes the linear part, tests effectiveness, and extracts the
-conjugator beta from the t-constant part of the twisted family phi.
+diagonalizes the linear part, tests effectiveness, and reads the
+conjugator beta off the weight components of the action.
 """
 
 from fractions import Fraction
 
-from falin import (TorusAction, build_phi, conjugate_by_translation, emit_report,
+from falin import (TorusAction, conjugate_by_translation, emit_report,
                    extract_beta, fixed_point, linear_part, linearize, parse,
                    poly_str, render, weight_decomposition)
 
@@ -37,11 +37,10 @@ basis, weights = weight_decomposition(linear_part(recentred.map))
 print("base change P:", basis)
 print("weights M:    ", weights)
 
-# stage 3: phi(t)(z_i) = t^{-m_i} sigma(t)(z_i) has identity linear part;
-# its t-constant part is beta
-phi = build_phi(recentred, weights)
-beta = extract_beta(phi)
-print("phi(z2):  ", poly_str(phi.map.images[1]))
+# stage 3: beta(z_i) is the t^{m_i} part of the i-th image of the
+# diagonalized action P^-1 sigma(t)(P z); it is read off the weight
+# components of sigma before the base change, which does not touch t
+beta = extract_beta(recentred, basis, weights)
 print("beta(z2): ", poly_str(beta.images[1]))
 
 # the one-call version does all of the above plus inversion and verification

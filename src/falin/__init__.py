@@ -18,9 +18,9 @@ from .errors import (AxiomsFail, DegreeBlowupExceeded, FalinError,
                      RankMismatch, SingularLinearPart, SingularMatrix,
                      VariableMismatch, ZeroTorusPoint)
 from .freealg import (FreePoly, Word, abelianize, abelianized_representative,
-                      f_degree, f_mul, f_substitute)
-from .linearize import (LinearizationReport, build_phi, build_tau, extract_beta,
-                        linearize, verify_conjugation)
+                      f_mul, f_substitute)
+from .linearize import (LinearizationReport, build_tau, extract_beta, linearize,
+                        verify_conjugation)
 from .textio import (ActionDocument, emit_report, laurent_str, map_document,
                      parse, poly_str, render)
 from .torus import (AxiomVerdict, TorusAction, check_axioms, fixed_point,
@@ -35,12 +35,11 @@ __all__ = [
     "NotDiagonalizable", "NotEffective", "NotPolynomialInverseWithinBound",
     "ParseError", "PolyMap", "RankMismatch", "SingularLinearPart",
     "SingularMatrix", "TorusAction", "VariableMismatch", "Word",
-    "ZeroTorusPoint", "abelianize", "abelianized_representative", "build_phi",
-    "build_tau", "check_axioms", "compose", "conjugate_by_linear",
-    "conjugate_by_translation", "conjugated_action", "constant_part",
-    "emit_report", "extract_beta", "f_degree", "f_mul", "f_substitute",
-    "fixed_point", "gen_action", "gen_elementary", "identity_map", "invert",
-    "is_effective", "laurent_str", "linear_part", "linearize", "map_document",
-    "parse", "poly_str", "render", "specialize", "verify_conjugation",
-    "weight_decomposition",
+    "ZeroTorusPoint", "abelianize", "abelianized_representative", "build_tau",
+    "check_axioms", "compose", "conjugate_by_linear", "conjugate_by_translation",
+    "conjugated_action", "constant_part", "emit_report", "extract_beta",
+    "f_mul", "f_substitute", "fixed_point", "gen_action", "gen_elementary",
+    "identity_map", "invert", "is_effective", "laurent_str", "linear_part",
+    "linearize", "map_document", "parse", "poly_str", "render", "specialize",
+    "verify_conjugation", "weight_decomposition",
 ]

@@ -80,7 +80,10 @@ def _build_parser() -> _Parser:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            raise OSError(f"{path}: not valid UTF-8") from None
 
 
 def _witness_lines(verdict, rank):

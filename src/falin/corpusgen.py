@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from . import linalg
 from .endo import PolyMap, compose, identity_map, linear_map
 from .errors import DegreeBlowupExceeded, InternalInvariant
-from .freealg import FreePoly, f_degree
+from .freealg import FreePoly
 from .linearize import build_tau, verify_conjugation
 from .torus import TorusAction
 
@@ -55,7 +55,7 @@ def _prefilter(g: PolyMap, f: PolyMap, cap: int):
     """Reject compose(g, f) on g's degrees and term counts, before any work."""
     # the degree bound over-counts (conjugation cancels a lot), so only
     # blatant blowups are rejected here
-    g_degrees = [max(1, f_degree(img)) for img in g.images]
+    g_degrees = [max(1, img.degree()) for img in g.images]
     bound = max((sum(g_degrees[l - 1] for l in word) if word else 0
                  for img in f.images for word in img.terms), default=0)
     if bound > 3 * cap:
@@ -146,7 +146,7 @@ def _random_unimodular(rank: int, rng: random.Random):
 
 
 def _check_size(pm: PolyMap, cap: int):
-    degree = max(f_degree(img) for img in pm.images)
+    degree = max(img.degree() for img in pm.images)
     size = sum(len(img.terms) for img in pm.images)
     if degree > cap or size > _TERM_CAP:
         raise DegreeBlowupExceeded(

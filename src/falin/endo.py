@@ -21,7 +21,7 @@ from . import linalg
 from .coefficients import LaurentPoly, normalize_scalar
 from .errors import (NotPolynomialInverseWithinBound, RankMismatch,
                      SingularLinearPart, SingularMatrix)
-from .freealg import EMPTY_WORD, FreePoly, f_degree, f_substitute, merge_nvars
+from .freealg import EMPTY_WORD, FreePoly, f_substitute, merge_nvars
 
 
 class PolyMap:
@@ -64,7 +64,7 @@ class PolyMap:
         return f"PolyMap({list(self.images)!r})"
 
     def degree(self) -> int:
-        return max(f_degree(img) for img in self.images)
+        return max(img.degree() for img in self.images)
 
     def apply(self, p: FreePoly) -> FreePoly:
         """Image of a polynomial under this endomorphism."""
@@ -123,13 +123,16 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
 
     Works in the degree-truncated power-series completion: starting from
     the inverse of the linear part, each pass cancels the lowest remaining
-    error of compose(h, f).  If after ``max_degree`` passes the residual is
-    still nonzero, f has no polynomial inverse within the bound.  The
-    returned map satisfies compose(h, f) = compose(f, h) = identity exactly
-    (verified, not assumed).
+    error of compose(h, f).  That residual is formed once per correction,
+    truncated at ``max_degree``, which keeps every part of degree up to the
+    bound exact.  If after ``max_degree`` passes the residual is still
+    nonzero, f has no polynomial inverse within the bound.  The returned map
+    satisfies compose(h, f) = compose(f, h) = identity exactly (verified, not
+    assumed); the last residual stands in for compose(h, f) only when no
+    product in it can have been cut.
 
-    ``max_degree`` defaults to the degree of f itself, which is the correct
-    bound for the linearization pipeline.
+    ``max_degree`` defaults to the degree of f itself; the linearization
+    pipeline passes the degree of the action, which bounds that of beta^-1.
     """
     if max_degree is None:
         max_degree = max(f.degree(), 1)
@@ -147,10 +150,12 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
                  {(j,): inv_matrix[i][j - 1] for j in range(1, f.rank + 1)},
                  f.nvars)
         for i in range(f.rank)])
+    error = None  # compose(h, f) truncated at max_degree, for the current h
     for k in range(2, max_degree + 1):
         # compose(h, f)_i = f_i(h(z)); perturbing h by a homogeneous c of
         # degree k changes that by -A c + O(k+1), so c = A^-1 * (error part)
-        error = compose(h, f, max_degree=k)
+        if error is None:
+            error = compose(h, f, max_degree=max_degree)
         bad = [_homogeneous_part(error.images[i] - ident.images[i], k)
                for i in range(f.rank)]
         if all(not b for b in bad):
@@ -163,7 +168,10 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
                     correction = correction + bad[j].scale(inv_matrix[i][j])
             images.append(h.images[i] - correction)
         h = PolyMap(images)
-    if compose(h, f) != ident or compose(f, h) != ident:
+        error = None
+    if error is None or h.degree() * f.degree() > max_degree:
+        error = compose(h, f)
+    if error != ident or compose(f, h) != ident:
         raise NotPolynomialInverseWithinBound(
             f"no polynomial inverse of degree <= {max_degree}")
     return h

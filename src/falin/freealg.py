@@ -278,11 +278,6 @@ def f_mul(p: FreePoly, q: FreePoly, max_degree: Optional[int] = None) -> FreePol
     return FreePoly(p.rank, out, nvars)
 
 
-def f_degree(p: FreePoly) -> int:
-    """Maximum word length over the terms; deg 0 = -1 by convention."""
-    return p.degree()
-
-
 def f_substitute(p: FreePoly, images: Sequence[FreePoly],
                  max_degree: Optional[int] = None,
                  _cache: Optional[Dict[Word, FreePoly]] = None) -> FreePoly:

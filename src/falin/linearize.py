@@ -1,12 +1,12 @@
 """The linearization pipeline for effective torus actions.
 
-The pipeline moves a fixed point of sigma to the origin, conjugates the
-linear part to diagonal form diag(t^{m_1}, ..., t^{m_n}), rejects the
-action if the weight matrix is singular, and otherwise extracts the
-conjugating automorphism beta from the t-constant part of the twisted
-family
-
-    phi(t)(z_i) = t^{-m_i} * sigma(t)(z_i).
+The pipeline moves a fixed point of sigma to the origin, finds the base
+change P with P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) for the linear
+part A, rejects the action if the weight matrix is singular, and otherwise
+reads the conjugating automorphism beta off the weight components of
+sigma: beta(z_i) is the t^{m_i} part of the i-th image of the diagonalized
+action, and since the base change does not touch t, that part is taken
+before it.
 
 The defining property of beta is the conjugation identity
 
@@ -27,9 +27,9 @@ from typing import Optional
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import (PolyMap, compose, conjugate_by_linear, conjugate_by_translation,
-                   invert, linear_map, linear_part, translation_map)
-from .errors import AxiomsFail, FalinError, NotDiagonalizable, NotEffective
+from .endo import (PolyMap, compose, conjugate_by_translation, invert,
+                   linear_map, linear_part, translation_map)
+from .errors import AxiomsFail, FalinError, NotEffective
 from .freealg import FreePoly
 from .torus import (TorusAction, check_axioms, fixed_point, weight_decomposition)
 
@@ -59,41 +59,32 @@ def build_tau(weights) -> TorusAction:
     return TorusAction(PolyMap(images))
 
 
-def build_phi(action: TorusAction, weights) -> TorusAction:
-    """Twist a diagonalized action by tau(t)^-1 so its linear part is the identity.
+def extract_beta(action: TorusAction, base_change, weights) -> PolyMap:
+    """The conjugator beta, read off the weight components of sigma.
 
-    Requires linear_part(action.map) = diag(t^{m_i}); the i-th image is
-    sigma(t)(z_i) scaled by t^{-m_i}, whose coefficient at each t-monomial
-    is one of the polynomials g_{i,m}(z) that the constant-part extraction
-    reads off.
+    Write sigma(t)(z_j) = sum_m t^m g_{j,m}(z), with the fixed point moved
+    to the origin and P^-1 A(t) P = diag(t^{m_i}) for the linear part A.
+    beta(z_i) is the t^{m_i} part of the i-th image of the diagonalized
+    action P^-1 sigma(t)(P z); conjugating by the scalar matrix P does not
+    touch t, so taking a t-coefficient commutes with it, and
+    beta(z_i) = Y_i(P z) with Y_i = sum_j (P^-1)_{ij} g_{j,m_i}.
     """
     n = action.rank
-    matrix = linear_part(action.map)
-    for i in range(n):
-        for j in range(n):
-            expect = (LaurentPoly.monomial(n, weights[i]) if i == j
-                      else LaurentPoly.zero(n))
-            if matrix[i][j] != expect:
-                raise NotDiagonalizable(
-                    "build_phi requires the diagonalized linear part")
+    inverse = linalg.inverse(base_change)
+    components = {}
     images = []
     for i in range(n):
-        inv_weight = LaurentPoly.monomial(n, [-w for w in weights[i]])
-        images.append(action.map.images[i].scale(inv_weight))
-    return TorusAction(PolyMap(images))
-
-
-def extract_beta(phi: TorusAction) -> PolyMap:
-    """The t-constant part of phi: beta(z_i) = g_{i,0...0}(z)."""
-    images = []
-    for img in phi.map.images:
-        terms = {}
-        for word, coeff in img.terms.items():
-            value = coeff.constant_coeff()
-            if value:
-                terms[word] = value
-        images.append(FreePoly(phi.rank, terms))
-    return PolyMap(images)
+        m = tuple(weights[i])
+        if m not in components:
+            components[m] = [
+                FreePoly(n, {w: c.terms.get(m, 0) for w, c in img.terms.items()})
+                for img in action.map.images]
+        y = FreePoly.zero(n)
+        for j, g in enumerate(components[m]):
+            if inverse[i][j] and g:
+                y = y + g.scale(inverse[i][j])
+        images.append(y)
+    return compose(linear_map(n, base_change), PolyMap(images))
 
 
 def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
@@ -149,15 +140,14 @@ def _pipeline(action: TorusAction,
                 base_change=base_change, weights=weights,
                 beta=None, beta_inverse=None, degree=action.degree,
                 verified=None))
-    phi = build_phi(TorusAction(conjugate_by_linear(moved, base_change)), weights)
-    beta = extract_beta(phi)
+    beta = extract_beta(TorusAction(moved), base_change, weights)
     bound = action.degree if max_degree is None else max_degree
     beta_inverse = invert(beta, bound)  # also proves both compositions are id
     # Verify against the original sparse action: with gamma folding the
     # translation and base change into beta, sigma o gamma = gamma o tau is
     # literally equivalent to the diagonalized-level conjugation identity,
-    # and substituting the original images is far cheaper than substituting
-    # the densified conjugate.
+    # and substituting the original images is far cheaper than forming the
+    # dense diagonalized conjugate.
     gamma = compose(translation_map(n, [-x for x in center]),
                     compose(linear_map(n, linalg.inverse(base_change)), beta))
     verified = verify_conjugation(action, gamma, weights)

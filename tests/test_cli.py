@@ -193,6 +193,14 @@ class TestUsageErrors:
         assert run(["check", "/nonexistent/file.act"]) == 1
         assert "io error" in capsys.readouterr().err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.act"
+        path.write_bytes(EX_A.encode("utf-16"))  # starts with \xff\xfe
+        assert run(["linearize", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"io error: {path}: not valid UTF-8\n"
+
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.act"
         path.write_text("rank 1\naction\nz1 -> z9\nend\n")

@@ -10,6 +10,7 @@ from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
                    NotPolynomialInverseWithinBound, compose,
                    conjugate_by_linear, conjugate_by_translation,
                    constant_part, identity_map, invert, linear_part)
+from falin import endo
 from falin.endo import scalar_linear_part
 
 from helpers import rand_scalar_map
@@ -105,6 +106,44 @@ class TestInvert:
         f = PolyMap([P(1, {(1,): 1, (1, 1): 1})])
         with pytest.raises(NotPolynomialInverseWithinBound):
             invert(f)  # the series inverse of z + z^2 never terminates
+
+    def test_corrections_at_every_degree(self):
+        # corrections at degrees 2, 3 and 4; deg h * deg f exceeds the bound,
+        # so the certificate forms compose(h, f) again in full
+        f = PolyMap([P(3, {(1,): 1}), P(3, {(2,): 1, (1, 1): 1}),
+                     P(3, {(3,): 1, (2, 2): 1})])
+        h = invert(f, 4)
+        assert h == PolyMap([
+            P(3, {(1,): 1}), P(3, {(2,): 1, (1, 1): -1}),
+            P(3, {(3,): 1, (2, 2): -1, (1, 1, 2): 1, (2, 1, 1): 1,
+                  (1, 1, 1, 1): -1})])
+        with pytest.raises(NotPolynomialInverseWithinBound):
+            invert(f, 3)
+
+    def test_certificate_products_are_exact(self, monkeypatch):
+        # the compose(h, f) that certifies h is never cut at the bound, also
+        # where the last residual stands in for it
+        calls = []
+
+        def spy(g, f, max_degree=None):
+            out = compose(g, f, max_degree)
+            calls.append((g, f, out))
+            return out
+
+        monkeypatch.setattr(endo, "compose", spy)
+        cases = [(PolyMap([P(1, {(1,): 1, (1, 1, 1): 1})]), 2),
+                 (PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (1, 1): 1})]), 4),
+                 (PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (1, 1): 1})]), 3)]
+        for f, bound in cases:
+            calls.clear()
+            try:
+                invert(f, bound)
+            except NotPolynomialInverseWithinBound:
+                pass
+            g, k, _ = calls[-1]  # the certificate's last product
+            h = k if g is f else g
+            _, _, residual = [c for c in calls if c[0] is h and c[1] is f][-1]
+            assert residual == compose(h, f)
 
     def test_random_automorphisms_invert_exactly(self):
         rng = random.Random(9)

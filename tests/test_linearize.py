@@ -8,10 +8,11 @@ import pytest
 
 from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    LaurentPoly, NotEffective, NotPolynomialInverseWithinBound,
-                   PolyMap, TorusAction, build_phi, build_tau, check_axioms,
-                   constant_part, conjugate_by_translation, extract_beta,
-                   gen_action, identity_map, linearize, parse,
-                   verify_conjugation)
+                   PolyMap, TorusAction, build_tau, check_axioms,
+                   conjugate_by_linear, conjugate_by_translation, constant_part,
+                   extract_beta, fixed_point, gen_action, identity_map,
+                   linear_part, linearize, parse, verify_conjugation,
+                   weight_decomposition)
 from falin.corpusgen import conjugated_action
 from falin.errors import NotDiagonalizable
 
@@ -55,41 +56,55 @@ class TestBuildTau:
         assert tau.degree == 1
 
 
-class TestBuildPhi:
-    def test_tau_gives_identity_action(self):
-        tau = build_tau([[2, 1], [1, 1]])
-        phi = build_phi(tau, [[2, 1], [1, 1]])
-        assert phi.map == identity_map(2, 2)
-
-    def test_ex_a(self, ex_a):
-        phi = build_phi(ex_a, [[1, 0], [0, 1]])
-        assert phi.map.images[0] == FreePoly(2, {(1,): 1}, 2)
-        coeff = LaurentPoly(2, {(0, 0): 1, (2, -1): -1})  # 1 - t1^2/t2
-        assert phi.map.images[1] == FreePoly(2, {(2,): 1, (1, 1): coeff}, 2)
-
-    def test_rejects_non_diagonal_linear_part(self):
-        doc = parse("rank 2\naction\nz1 -> t1*z1 + t1*z2\nz2 -> t2*z2\nend\n")
-        with pytest.raises(NotDiagonalizable):
-            build_phi(doc.to_action(), [[1, 0], [0, 1]])
-
-
 class TestExtractBeta:
     def test_identity_phi(self):
-        phi = build_tau([[0, 0], [0, 0]])
-        assert extract_beta(phi) == identity_map(2)
+        action = build_tau([[0, 0], [0, 0]])
+        beta = extract_beta(action, [[1, 0], [0, 1]], [[0, 0], [0, 0]])
+        assert beta == identity_map(2)
+
+    def test_tau_gives_identity_action(self):
+        tau = build_tau([[2, 1], [1, 1]])
+        beta = extract_beta(tau, [[1, 0], [0, 1]], [[2, 1], [1, 1]])
+        assert beta == identity_map(2)
 
     def test_ex_a(self, ex_a):
-        phi = build_phi(ex_a, [[1, 0], [0, 1]])
-        beta = extract_beta(phi)
+        beta = extract_beta(ex_a, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
         assert beta == PolyMap([FreePoly(2, {(1,): 1}),
                                 FreePoly(2, {(2,): 1, (1, 1): 1})])
 
     def test_coefficient_without_constant_part_contributes_nothing(self):
-        coeff = LaurentPoly(1, {(1,): 1, (2,): -1})  # t1 - t1^2
+        # twisted by t1^-1 it is t1 - t1^2, which has no constant part
+        coeff = LaurentPoly(1, {(2,): 1, (3,): -1})  # t1^2 - t1^3
         action = TorusAction(PolyMap([
-            FreePoly(1, {(1,): 1, (1, 1): coeff}, 1)]))
-        beta = extract_beta(action)
+            FreePoly(1, {(1,): LaurentPoly.var(1, 1), (1, 1): coeff}, 1)]))
+        beta = extract_beta(action, [[1]], [[1]])
         assert beta == identity_map(1)
+
+    def test_matches_twisted_constant_part(self):
+        """Oracle: the t^0 part of the diagonalized action twisted by tau^-1."""
+        actions = [gen_action(corpus_spec(seed))[0] for seed in range(30)]
+        actions += [gen_action(CorpusSpec(rank=rank, seed=seed, n_elementary=rank,
+                                          max_poly_degree=2, weight_bound=3))[0]
+                    for rank in (4, 5) for seed in (0, 1)]
+        for i in range(6):
+            rank = 2 + i % 2
+            action, _ = gen_action(CorpusSpec(rank=rank, seed=2000 + i,
+                                              n_elementary=2, max_poly_degree=2,
+                                              weight_bound=3))
+            shift = [Fraction(j + 1, i + 2) for j in range(rank)]
+            actions.append(TorusAction(conjugate_by_translation(action.map, shift)))
+        for action in actions:
+            n = action.rank
+            moved = conjugate_by_translation(action.map, fixed_point(action))
+            base_change, weights = weight_decomposition(linear_part(moved), nvars=n)
+            diagonalized = conjugate_by_linear(moved, base_change)
+            expected = []
+            for img, m in zip(diagonalized.images, weights):
+                twisted = img.scale(LaurentPoly.monomial(n, [-w for w in m]))
+                expected.append(FreePoly(n, {w: c.constant_coeff()
+                                             for w, c in twisted.terms.items()}))
+            beta = extract_beta(TorusAction(moved), base_change, weights)
+            assert beta == PolyMap(expected)
 
 
 class TestVerifyConjugation:
@@ -163,6 +178,16 @@ class TestLinearize:
         report = linearize(ex_a)
         assert max(img.degree() for img in report.beta.images) <= ex_a.degree
         assert max(img.degree() for img in report.beta_inverse.images) <= ex_a.degree
+
+    def test_rejects_non_diagonal_linear_part(self):
+        # z1 -> t1*z1 + t1*z2, z2 -> t2*z2: the weight t2 has no eigenvector
+        doc = parse("rank 2\naction\nz1 -> t1*z1 + t1*z2\nz2 -> t2*z2\nend\n")
+        action = doc.to_action()
+        with pytest.raises(NotDiagonalizable):
+            weight_decomposition(linear_part(action.map))
+        with pytest.raises(AxiomsFail) as err:
+            linearize(action)
+        assert isinstance(err.value.__context__, NotDiagonalizable)
 
     def test_beta_always_has_identity_linear_part(self):
         from falin.corpusgen import CorpusSpec, gen_action
