@@ -69,6 +69,12 @@ def extract_beta(action: TorusAction, base_change, weights) -> PolyMap:
     touch t, so taking a t-coefficient commutes with it, and
     beta(z_i) = Y_i(P z) with Y_i = sum_j (P^-1)_{ij} g_{j,m_i}.
     """
+    return compose(linear_map(action.rank, base_change),
+                   _weight_components(action, base_change, weights))
+
+
+def _weight_components(action: TorusAction, base_change, weights) -> PolyMap:
+    """The scalar map Y with Y_i = sum_j (P^-1)_{ij} g_{j,m_i} (see extract_beta)."""
     n = action.rank
     inverse = linalg.inverse(base_change)
     components = {}
@@ -84,7 +90,7 @@ def extract_beta(action: TorusAction, base_change, weights) -> PolyMap:
             if inverse[i][j] and g:
                 y = y + g.scale(inverse[i][j])
         images.append(y)
-    return compose(linear_map(n, base_change), PolyMap(images))
+    return PolyMap(images)
 
 
 def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
@@ -140,16 +146,16 @@ def _pipeline(action: TorusAction,
                 base_change=base_change, weights=weights,
                 beta=None, beta_inverse=None, degree=action.degree,
                 verified=None))
-    beta = extract_beta(TorusAction(moved), base_change, weights)
+    y = _weight_components(TorusAction(moved), base_change, weights)
+    beta = compose(linear_map(n, base_change), y)
     bound = action.degree if max_degree is None else max_degree
     beta_inverse = invert(beta, bound)  # also proves both compositions are id
     # Verify against the original sparse action: with gamma folding the
     # translation and base change into beta, sigma o gamma = gamma o tau is
     # literally equivalent to the diagonalized-level conjugation identity,
     # and substituting the original images is far cheaper than forming the
-    # dense diagonalized conjugate.
-    gamma = compose(translation_map(n, [-x for x in center]),
-                    compose(linear_map(n, linalg.inverse(base_change)), beta))
+    # dense diagonalized conjugate.  P^-1 o beta is y itself.
+    gamma = compose(translation_map(n, [-x for x in center]), y)
     verified = verify_conjugation(action, gamma, weights)
     return LinearizationReport(
         rank=n, effective=True, fixed_point=tuple(center),

@@ -129,6 +129,68 @@ def scalar_polys(rank=2):
         lambda d: FreePoly(rank, d))
 
 
+def laurent_coeffs(nvars=2):
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    values = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    return st.dictionaries(exps, values, max_size=3).map(
+        lambda d: LaurentPoly(nvars, d))
+
+
+def laurent_polys(rank=2, nvars=2):
+    words = st.lists(st.integers(1, rank), max_size=3).map(tuple)
+    return st.dictionaries(words, laurent_coeffs(nvars), max_size=4).map(
+        lambda d: FreePoly(rank, d, nvars))
+
+
+def substitute_term_by_term(p, images, max_degree=None):
+    """Independent reference: substitute each word alone, then scale."""
+    out = FreePoly.zero(images[0].rank, p.nvars)
+    for word, coeff in p.terms.items():
+        unit = f_substitute(FreePoly(p.rank, {word: 1}), images, max_degree)
+        out = out + unit.scale(coeff)
+    return out
+
+
+def assert_canonical(poly, nvars):
+    assert poly.nvars == nvars
+    for coeff in poly.terms.values():
+        assert isinstance(coeff, LaurentPoly) and coeff.nvars == nvars
+        assert coeff.terms and all(coeff.terms.values())
+
+
+class TestLaurentUnderScalarImages:
+    t1 = LaurentPoly.var(2, 1)
+    t2 = LaurentPoly.var(2, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent_polys(), laurent_polys(), laurent_coeffs(),
+           st.lists(scalar_polys(), min_size=2, max_size=2),
+           st.one_of(st.none(), st.integers(0, 4)))
+    def test_matches_term_by_term_reference(self, p, q, const, images,
+                                            max_degree):
+        p = p + const  # a constant term, unless const is zero
+        cache = {}     # shared across both calls, as compose shares it
+        for poly in (p, q):
+            got = f_substitute(poly, images, max_degree, _cache=cache)
+            assert got == substitute_term_by_term(poly, images, max_degree)
+            assert_canonical(got, poly.nvars)
+
+    def test_exact_cancellation_to_zero(self):
+        p = FreePoly(2, {(1,): self.t1, (2,): -self.t1}, 2)
+        out = f_substitute(p, [z1, z1])
+        assert out.terms == {}
+        assert out == FreePoly.zero(2, 2)
+
+    def test_partial_cancellation_leaves_no_zero_entry(self):
+        p = FreePoly(2, {(1,): self.t1 + self.t2, (2,): -self.t1}, 2)
+        out = f_substitute(p, [z1, z1])
+        assert out == FreePoly(2, {(1,): self.t2}, 2)
+        assert out.terms[(1,)].terms == {(0, 1): 1}
+        assert_canonical(out, 2)
+
+
 class TestRingLaws:
     @settings(max_examples=60, deadline=None)
     @given(scalar_polys(), scalar_polys(), scalar_polys())
