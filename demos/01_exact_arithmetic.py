@@ -19,13 +19,6 @@ print("q      =", laurent_str(q))
 print("p * q  =", laurent_str(p * q))
 print("p(3,2) =", p.eval([3, 2]))                   # exact: 9 - 1/2 = 17/2
 
-# Substituting monomials for the variables is how the axiom checker builds
-# sigma(st) out of sigma(t): each t_k goes to t_k * s_k in a doubled
-# variable set.
-doubled = p.subst_monomial([LaurentPoly.monomial(4, (1, 0, 1, 0)),
-                            LaurentPoly.monomial(4, (0, 1, 0, 1))])
-print("p(t1*s1, t2*s2) has exponents", sorted(doubled.terms))
-
 # --- Free polynomials: words of generator indices with central coefficients.
 z1 = FreePoly.gen(2, 1)
 z2 = FreePoly.gen(2, 2)

@@ -178,7 +178,8 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_generate(args) -> int:
     for flag, value, least in (("--rank", args.rank, 1), ("--degree", args.degree, 1),
-                               ("--weight-bound", args.weight_bound, 0)):
+                               ("--weight-bound", args.weight_bound, 0),
+                               ("--elementary", args.elementary, 0)):
         if value < least:
             print(f"generate: {flag} must be at least {least}", file=sys.stderr)
             return 1

@@ -240,7 +240,7 @@ class LaurentPoly:
             result = result * self
         return result
 
-    # -- evaluation and substitution ----------------------------------
+    # -- evaluation ---------------------------------------------------
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a torus point (all entries nonzero)."""
@@ -259,54 +259,3 @@ class LaurentPoly:
                     term *= value ** e
             total += term
         return total
-
-    def subst_monomial(self, images: Sequence["LaurentPoly"]) -> "LaurentPoly":
-        """Substitute each variable by a coefficient-1 Laurent monomial.
-
-        The images may live over a larger variable set; the result does too.
-        Exponent vectors map linearly, so this is a ring homomorphism.
-        """
-        if len(images) != self.nvars:
-            raise VariableMismatch(
-                f"{len(images)} images for {self.nvars} variables")
-        image_exps = []
-        target = images[0].nvars if images else 0
-        for img in images:
-            unit = img.as_unit_monomial()
-            if unit is None or unit[1] != 1:
-                raise NotMonomial("substitution image must be a monomial with coefficient 1")
-            if img.nvars != target:
-                raise VariableMismatch("substitution images over differing variable sets")
-            image_exps.append(unit[0])
-        out = {}
-        zero = (0,) * target
-        for exps, coeff in self.terms.items():
-            key = list(zero)
-            for e, img in zip(exps, image_exps):
-                if e:
-                    for k, g in enumerate(img):
-                        if g:
-                            key[k] += e * g
-            key = tuple(key)
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = target
-        res.terms = out
-        return res
-
-    def extend(self, nvars: int, offset: int = 0) -> "LaurentPoly":
-        """Re-embed into ``nvars`` variables, shifting exponents by ``offset``."""
-        if offset + self.nvars > nvars:
-            raise VariableMismatch("extension window exceeds target variable count")
-        pad_left = (0,) * offset
-        pad_right = (0,) * (nvars - offset - self.nvars)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = nvars
-        res.terms = {pad_left + e + pad_right: c for e, c in self.terms.items()}
-        return res
-

@@ -31,7 +31,8 @@ from .endo import (PolyMap, compose, conjugate_by_translation, invert,
                    linear_map, linear_part, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
 from .freealg import FreePoly
-from .torus import (TorusAction, check_axioms, fixed_point, weight_decomposition)
+from .torus import (TorusAction, check_axioms, fixed_point, t_components,
+                    weight_decomposition)
 
 
 @dataclass
@@ -77,18 +78,14 @@ def _weight_components(action: TorusAction, base_change, weights) -> PolyMap:
     """The scalar map Y with Y_i = sum_j (P^-1)_{ij} g_{j,m_i} (see extract_beta)."""
     n = action.rank
     inverse = linalg.inverse(base_change)
-    components = {}
+    components = [t_components(img) for img in action.map.images]
     images = []
     for i in range(n):
         m = tuple(weights[i])
-        if m not in components:
-            components[m] = [
-                FreePoly(n, {w: c.terms.get(m, 0) for w, c in img.terms.items()})
-                for img in action.map.images]
         y = FreePoly.zero(n)
-        for j, g in enumerate(components[m]):
-            if inverse[i][j] and g:
-                y = y + g.scale(inverse[i][j])
+        for j, parts in enumerate(components):
+            if inverse[i][j] and m in parts:
+                y = y + parts[m].scale(inverse[i][j])
         images.append(y)
     return PolyMap(images)
 

@@ -21,8 +21,8 @@ letters); powers on t-variables may be any integer.  A power or product
 that would build words longer than MAX_WORD_LENGTH letters, or form more
 than MAX_PRODUCTS products of terms (a Laurent coefficient counting one
 term per t-monomial), is a parse error, and so is a power above
-MAX_WORD_LENGTH of an expression without z-letters.  Map documents may
-not mention t-variables.
+MAX_WORD_LENGTH of an expression without z-letters or parentheses nested
+more than MAX_NESTING deep.  Map documents may not mention t-variables.
 
 Printing produces the canonical form: free terms in graded-lex word
 order, Laurent terms in lexicographic exponent order, coefficients as
@@ -59,6 +59,9 @@ KEYWORDS = {"rank", "action", "map", "end"}
 # expression without z-letters to a power above MAX_WORD_LENGTH.
 MAX_WORD_LENGTH = 10_000
 MAX_PRODUCTS = 100_000
+# The parser recurses once per parenthesis, so nesting is bounded well
+# inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,7 @@ class _Parser:
         self.pos = 0
         self.rank = 0
         self.nvars: Optional[int] = None   # None while parsing a map document
+        self.depth = 0                     # open parentheses
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -321,9 +325,14 @@ class _Parser:
             coeff = LaurentPoly.var(self.rank, tok.value)
             return FreePoly.const(self.rank, coeff, self.rank), None, tok.value
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} "
+                                 f"deep", tok.line, tok.col)
             self.advance()
+            self.depth += 1
             poly = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return poly, None, None
         raise ParseError("expected a rational, a variable, or '('",
                          tok.line, tok.col)

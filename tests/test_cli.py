@@ -176,7 +176,8 @@ class TestGenerate:
         assert sorted(map(tuple, data["weights"])) == sorted(map(tuple, weights))
 
     @pytest.mark.parametrize("flag, value", [
-        ("--rank", "0"), ("--degree", "0"), ("--weight-bound", "-1")])
+        ("--rank", "0"), ("--degree", "0"), ("--weight-bound", "-1"),
+        ("--elementary", "-1")])
     def test_out_of_range_bound_is_usage_error(self, flag, value, tmp_path,
                                                capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -218,6 +219,17 @@ class TestUsageErrors:
         assert run(["check", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("parse error: 3:") and err.count("\n") == 1
+
+    def test_deep_nesting_is_parse_error(self, tmp_path, capsys):
+        # deep enough to exhaust the interpreter stack without the limit
+        path = tmp_path / "deep.act"
+        path.write_text("rank 1\naction\nz1 -> " + "(" * 300 + "t1*z1"
+                        + ")" * 300 + "\nend\n")
+        assert run(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("parse error: 3:")
+                and captured.err.count("\n") == 1)
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from falin import (FreePoly, LaurentPoly, ParseError, emit_report,
                    laurent_str, linearize, map_document, parse, poly_str, render)
-from falin.textio import MAX_PRODUCTS, MAX_WORD_LENGTH
+from falin.textio import MAX_NESTING, MAX_PRODUCTS, MAX_WORD_LENGTH
 
 from helpers import rand_laurent_map, rand_scalar_map
 
@@ -120,6 +120,19 @@ class TestParse:
         image = doc.images()[0]
         assert image.degree() == MAX_WORD_LENGTH
         assert image.coeff((1,) * k) == 1 and len(image.terms) == k + 2
+
+    def test_nesting_at_the_limit_accepted(self):
+        expr = "(" * MAX_NESTING + "t1*z1" + ")" * MAX_NESTING
+        doc = parse(f"rank 1\naction\nz1 -> {expr}\nend\n")
+        assert doc.images()[0] == FreePoly(1, {(1,): LaurentPoly.var(1, 1)}, 1)
+
+    def test_nesting_beyond_the_limit_rejected_at_paren(self):
+        depth = MAX_NESTING + 1
+        expr = "(" * depth + "t1*z1" + ")" * depth
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\naction\nz1 -> {expr}\nend\n")
+        # the innermost '(' is the one past the limit
+        assert (err.value.line, err.value.col) == (3, len("z1 -> ") + depth)
 
     def test_all_listed_errors_have_positions(self):
         bad_inputs = [

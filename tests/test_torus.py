@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from falin import (FreePoly, LaurentPoly, NotDiagonalizable, PolyMap,
-                   TorusAction, ZeroTorusPoint, check_axioms,
+from falin import (AxiomVerdict, FreePoly, LaurentPoly, NotDiagonalizable,
+                   PolyMap, TorusAction, ZeroTorusPoint, check_axioms, compose,
                    conjugate_by_translation, fixed_point, identity_map,
                    is_effective, linear_part, parse, specialize,
                    weight_decomposition)
 from falin.corpusgen import CorpusSpec, gen_action
 from falin.linalg import int_det
-from falin.torus import translated_constant_part
+from falin.torus import t_components, translated_constant_part
+
+from test_acceptance import corpus_spec
 
 EX_A = """rank 2
 action
@@ -215,3 +217,100 @@ def _perturb_one_coefficient(action):
     bumped[word] = bumped[word] + LaurentPoly.one(action.rank)
     images[0] = FreePoly(action.rank, bumped, action.rank)
     return TorusAction(PolyMap(images))
+
+
+HAND_CASES = ["t1*z1 + 1", "2*t1*z1", "0", "z2 + t1*z1^2", "z1 + t1*z1^2",
+              "t1*z1 + t1*z2"]
+
+
+def _hand_action(image):
+    # rank 2 when the image mentions z2, the second generator left fixed
+    if "z2" in image:
+        return parse(f"rank 2\naction\nz1 -> {image}\nz2 -> z2\nend\n").to_action()
+    return parse(f"rank 1\naction\nz1 -> {image}\nend\n").to_action()
+
+
+def _bumps(action):
+    """Three actions, each with one coefficient of ``action`` changed."""
+    n = action.rank
+    out = []
+    for k in range(3):
+        images = list(action.map.images)
+        img = images[k % n]
+        words = sorted(img.terms, key=lambda w: (len(w), w))
+        word = words[k % len(words)]
+        exps = [0] * n
+        exps[k % n] = k - 1                   # t^-1, 1 and t^1 in turn
+        bumped = dict(img.terms)
+        bumped[word] = bumped[word] + LaurentPoly.monomial(n, exps)
+        images[k % n] = FreePoly(n, bumped, n)
+        out.append(TorusAction(PolyMap(images)))
+    return out
+
+
+def _graded_lex_first_difference(a, b):
+    for word in sorted(set(a.terms) | set(b.terms), key=lambda w: (len(w), w)):
+        if a.coeff(word) != b.coeff(word):
+            return word, a.coeff(word), b.coeff(word)
+
+
+def reference_check_axioms(action):
+    """The axiom check composed in 2n torus variables, t first and s second."""
+    n = action.rank
+    zeros = (0,) * n
+
+    def lift(key):
+        return PolyMap([
+            FreePoly(n, {w: LaurentPoly(2 * n, {key(e): x
+                                                for e, x in c.terms.items()})
+                         for w, c in img.terms.items()}, 2 * n)
+            for img in action.map.images])
+
+    sigma_t = lift(lambda e: e + zeros)
+    sigma_s = lift(lambda e: zeros + e)
+    sigma_st = lift(lambda e: e + e)
+    lhs = compose(sigma_s, sigma_t)
+    for i in range(n):
+        if lhs.images[i] != sigma_st.images[i]:
+            word, a, b = _graded_lex_first_difference(lhs.images[i],
+                                                      sigma_st.images[i])
+            return AxiomVerdict(False, "compatibility", i + 1, word, a, b)
+    at_one = specialize(action, [1] * n)
+    for i in range(n):
+        if at_one.images[i] != identity_map(n).images[i]:
+            word, a, b = _graded_lex_first_difference(
+                at_one.images[i], identity_map(n).images[i])
+            return AxiomVerdict(False, "identity", i + 1, word, a, b)
+    return AxiomVerdict(True)
+
+
+class TestGradedCheckMatchesReference:
+    def test_corpus_actions_pass(self):
+        for seed in range(30):
+            action, _ = gen_action(corpus_spec(seed))
+            verdict = check_axioms(action)
+            assert verdict.ok
+            assert verdict == reference_check_axioms(action)
+
+    def test_bumped_corpus_actions(self):
+        for seed in range(10):
+            action, _ = gen_action(corpus_spec(seed))
+            for mutated in _bumps(action):
+                verdict = check_axioms(mutated)
+                assert not verdict.ok
+                assert verdict == reference_check_axioms(mutated)
+
+    @pytest.mark.parametrize("image", HAND_CASES)
+    def test_hand_cases(self, image):
+        action = _hand_action(image)
+        verdict = check_axioms(action)
+        assert not verdict.ok
+        assert verdict == reference_check_axioms(action)
+
+
+class TestTComponents:
+    def test_splits_by_t_exponent(self, ex_a):
+        # z2 -> t2*z2 + (t2 - t1^2)*z1^2
+        parts = t_components(ex_a.map.images[1])
+        assert parts == {(0, 1): FreePoly(2, {(2,): 1, (1, 1): 1}),
+                         (2, 0): FreePoly(2, {(1, 1): -1})}
