@@ -11,10 +11,20 @@ multiply in the opposite order: A(g o f) = A(f) * A(g).  Every orientation-
 sensitive operation (conjugation by translations and by linear maps) is
 specified by the post-condition this convention induces, and the tests pin
 those post-conditions rather than any formula.
+
+Composing two scalar maps clears denominators once per composition: each
+image of g is scaled to integer coefficients, each image of f absorbs those
+scales and its own common denominator, the unchanged substitution runs over
+the integers, and each output term is divided once.  Scaling by nonzero
+constants changes no support and the arithmetic is exact, so the result is
+the same normalized map as a substitution over the rationals would give,
+without a gcd in every term product.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -76,12 +86,60 @@ def identity_map(rank: int, nvars: Optional[int] = None) -> PolyMap:
 
 
 def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
-    """compose(g, f)(z_i) = g(f(z_i)); linear parts obey A = A_f * A_g."""
+    """compose(g, f)(z_i) = g(f(z_i)); linear parts obey A = A_f * A_g.
+
+    When both maps are scalar and some coefficient is not an ``int``, the
+    denominators are cleared first: g_j becomes D_j g_j with integer
+    coefficients, the coefficient c_w of f_i becomes L_i c_w / D_w, where D_w
+    is the product of D_j over the letters of w and L_i clears what is left,
+    and every output term of the integer substitution is divided by L_i.
+    Since f_i(g) = (1/L_i) sum_w (L_i c_w / D_w) prod_k D_{w_k} g_{w_k}, the
+    result is exact, and ``max_degree`` cuts the same words.  Every scalar
+    result stores ``int`` where integral and no zeros.
+    """
     if g.rank != f.rank:
         raise RankMismatch(f"ranks {g.rank} and {f.rank} differ")
+    if (g.nvars is None and f.nvars is None
+            and not all(type(c) is int for m in (g, f) for img in m.images
+                        for c in img.terms.values())):
+        return _compose_cleared(g, f, max_degree)
     cache = {}
     return PolyMap([f_substitute(img, g.images, max_degree, _cache=cache)
                     for img in f.images])
+
+
+def _compose_cleared(g: PolyMap, f: PolyMap,
+                     max_degree: Optional[int]) -> PolyMap:
+    """Scalar compose(g, f) over integer images (see compose)."""
+    # int has numerator and denominator too, so one expression serves both
+    scales = []
+    images = []
+    cache = {}
+    for img in g.images:
+        d = lcm(*[c.denominator for c in img.terms.values()])
+        scales.append(d)
+        images.append(FreePoly._raw(img.rank, None, {
+            w: c.numerator * (d // c.denominator)
+            for w, c in img.terms.items()}))
+    out = []
+    for img in f.images:
+        absorbed = {}
+        for w, c in img.terms.items():
+            d = c.denominator
+            for letter in w:
+                d *= scales[letter - 1]
+            absorbed[w] = Fraction(c.numerator, d)
+        common = lcm(*[c.denominator for c in absorbed.values()])
+        cleared = FreePoly._raw(img.rank, None, {
+            w: c.numerator * (common // c.denominator)
+            for w, c in absorbed.items()})
+        result = f_substitute(cleared, images, max_degree, _cache=cache)
+        if common != 1:
+            result = FreePoly._raw(result.rank, None, {
+                w: normalize_scalar(Fraction(c, common))
+                for w, c in result.terms.items()})
+        out.append(result)
+    return PolyMap(out)
 
 
 def linear_part(f: PolyMap) -> list:

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
                    SingularLinearPart, SingularMatrix,
                    NotPolynomialInverseWithinBound, compose,
                    conjugate_by_linear, conjugate_by_translation,
                    constant_part, identity_map, invert, linear_part)
-from falin import endo
+from falin import endo, freealg
 from falin.endo import scalar_linear_part
+from falin.freealg import f_substitute
 
 from helpers import rand_scalar_map
 
@@ -56,6 +59,45 @@ class TestCompose:
     def test_apply_is_substitution(self):
         f = PolyMap([P(2, {(2,): 1}), P(2, {(1,): 1})])  # swap
         assert f.apply(P(2, {(1, 2): 1, (): 5})) == P(2, {(2, 1): 1, (): 5})
+
+
+@st.composite
+def rational_maps(draw, rank):
+    """Scalar maps whose coefficients mix int, Fraction and integral Fraction.
+
+    An integral Fraction is what scaling by a linalg result leaves behind;
+    the constructor would normalize it, so the terms are stored raw.
+    """
+    coeffs = st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(-4, 4).map(Fraction))
+    words = st.lists(st.integers(1, rank), max_size=3).map(tuple)
+    images = []
+    for _ in range(rank):
+        terms = draw(st.dictionaries(words, coeffs, max_size=4))
+        images.append(FreePoly._raw(rank, None,
+                                    {w: c for w, c in terms.items() if c}))
+    return PolyMap(images)
+
+
+def rational_map_pairs():
+    return st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(rational_maps(rank), rational_maps(rank)))
+
+
+class TestComposeRational:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_map_pairs(), st.one_of(st.none(), st.integers(0, 4)))
+    def test_matches_substitution_and_is_canonical(self, pair, max_degree):
+        g, f = pair
+        got = compose(g, f, max_degree)
+        assert got == PolyMap([f_substitute(img, g.images, max_degree)
+                               for img in f.images])
+        for img in got.images:
+            for c in img.terms.values():
+                assert c != 0
+                assert type(c) is (int if c.denominator == 1 else Fraction)
 
 
 class TestParts:
@@ -144,6 +186,23 @@ class TestInvert:
             h = k if g is f else g
             _, _, residual = [c for c in calls if c[0] is h and c[1] is f][-1]
             assert residual == compose(h, f)
+
+    def test_rational_map_composes_over_the_integers(self, monkeypatch):
+        seen = []
+        f_mul = freealg.f_mul
+
+        def spy(p, q, max_degree=None):
+            seen.extend(p.terms.values())
+            seen.extend(q.terms.values())
+            return f_mul(p, q, max_degree)
+
+        monkeypatch.setattr(freealg, "f_mul", spy)
+        f = PolyMap([P(2, {(1,): Fraction(1, 2)}),
+                     P(2, {(2,): 1, (1, 1): Fraction(2, 3)})])
+        h = invert(f, 2)
+        assert h == PolyMap([P(2, {(1,): 2}),
+                             P(2, {(2,): 1, (1, 1): Fraction(-8, 3)})])
+        assert seen and all(type(c) is int for c in seen)
 
     def test_random_automorphisms_invert_exactly(self):
         rng = random.Random(9)

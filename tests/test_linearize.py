@@ -1,5 +1,6 @@
 """The linearization pipeline on worked examples and constructed failures."""
 
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    LaurentPoly, NotEffective, NotPolynomialInverseWithinBound,
                    PolyMap, TorusAction, build_tau, check_axioms,
                    conjugate_by_linear, conjugate_by_translation, constant_part,
-                   extract_beta, fixed_point, gen_action, identity_map,
-                   linear_part, linearize, parse, verify_conjugation,
-                   weight_decomposition)
+                   emit_report, extract_beta, fixed_point, gen_action,
+                   identity_map, linear_part, linearize, parse,
+                   verify_conjugation, weight_decomposition)
 from falin.corpusgen import conjugated_action
 from falin.errors import NotDiagonalizable
 
@@ -24,6 +25,13 @@ z1 -> t1*z1
 z2 -> t2*z2 + (t2 - t1^2)*z1^2
 end
 """
+
+
+# SHA-256 of the reports of the rank-4/5 tier (ranks 4 and 5, seeds 0-1);
+# their beta and beta^-1 carry denominators up to 2704, so the certificate
+# runs through the compositions that clear denominators
+RANK45_REPORT_DIGEST = (
+    "63e92c831cfe39ddfcb89a139b5e6b33f0a1bfd8b1afad35fc1a7c0daa772ef5")
 
 
 @pytest.fixture
@@ -198,6 +206,16 @@ class TestLinearize:
             action, _ = gen_action(spec)
             report = linearize(action)
             assert scalar_linear_part(report.beta) == [[1, 0], [0, 1]]
+
+    def test_rank45_report_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for rank in (4, 5):
+            for seed in (0, 1):
+                spec = CorpusSpec(rank=rank, seed=seed, n_elementary=rank,
+                                  max_poly_degree=2, weight_bound=3)
+                action, _ = gen_action(spec)
+                digest.update(emit_report(linearize(action)).encode())
+        assert digest.hexdigest() == RANK45_REPORT_DIGEST
 
 
 def bumped_corpus_action(seed, k, delta):
