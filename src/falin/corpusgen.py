@@ -22,7 +22,7 @@ from .endo import PolyMap, compose, identity_map, linear_map
 from .errors import DegreeBlowupExceeded, InternalInvariant
 from .freealg import FreePoly
 from .linearize import build_tau, verify_conjugation
-from .torus import TorusAction
+from .torus import TorusAction, is_effective
 
 _MAX_REDRAWS = 96
 _TERM_CAP = 400
@@ -186,7 +186,7 @@ def _draw_weights(spec: CorpusSpec, rng: random.Random):
     for _ in range(256):
         m = [[rng.randint(-spec.weight_bound, spec.weight_bound)
               for _ in range(spec.rank)] for _ in range(spec.rank)]
-        if not spec.force_effective or linalg.int_det(m) != 0:
+        if not spec.force_effective or is_effective(m):
             return m
     raise DegreeBlowupExceeded("could not draw a non-singular weight matrix")
 

@@ -225,7 +225,8 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
                 if inv_matrix[i][j] and bad[j]:
                     correction = correction + bad[j].scale(inv_matrix[i][j])
             images.append(h.images[i] - correction)
-        h = PolyMap(images)
+        # the constructor stores the integral Fractions of the scaling as int
+        h = PolyMap([FreePoly(f.rank, img.terms, f.nvars) for img in images])
         error = None
     if error is None or h.degree() * f.degree() > max_degree:
         error = compose(h, f)
@@ -275,7 +276,6 @@ def conjugate_by_linear(f: PolyMap, p_matrix) -> PolyMap:
 
     Post-condition: linear_part(result) = P^-1 * linear_part(f) * P.
     """
-    p_matrix = linalg.frac_matrix(p_matrix)
     inv = linalg.inverse(p_matrix)  # raises SingularMatrix
     left = linear_map(f.rank, p_matrix)
     right = linear_map(f.rank, inv)

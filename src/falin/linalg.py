@@ -1,12 +1,13 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of lists of exact rationals, ``int`` or ``Fraction``.
-``rref`` and ``det`` convert their input to ``Fraction`` before they
-eliminate, so no division of two ``int`` entries ever yields a float, and
-their results (and those of ``kernel_basis``, ``solve_particular`` and
-``inverse``) are ``Fraction`` throughout.  Sizes here are the algebra rank
-(a handful), so plain Gaussian elimination is the right tool; there is no
-pivoting strategy beyond "first nonzero".
+``rref`` is the one elimination routine: it converts its input to
+``Fraction`` before it eliminates, so no division of two ``int`` entries
+ever yields a float, and its results (and those of ``kernel_basis``,
+``solve_particular`` and ``inverse``, which are built on it) are
+``Fraction`` throughout.  Sizes here are the algebra rank (a handful), so
+plain Gaussian elimination is the right tool; there is no pivoting
+strategy beyond "first nonzero".
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ from fractions import Fraction
 from .coefficients import normalize_scalar
 from .errors import SingularMatrix
 
-Matrix = "list[list[Fraction]]"
-Vector = "list[Fraction]"
-
-
-def frac_matrix(rows) -> list:
-    return [[Fraction(normalize_scalar(x)) for x in row] for row in rows]
-
 
 def identity(n: int) -> list:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -30,7 +24,7 @@ def identity(n: int) -> list:
 
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = frac_matrix(rows)
+    m = [[Fraction(normalize_scalar(x)) for x in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0]) if ncols is None else ncols
@@ -91,38 +85,6 @@ def solve_particular(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return x
-
-
-def det(a) -> Fraction:
-    n = len(a)
-    m = frac_matrix(a)
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
-
-
-def int_det(a) -> int:
-    """Determinant of an integer matrix."""
-    value = det(a)
-    if value.denominator != 1:
-        raise ValueError("int_det needs an integer matrix")
-    return value.numerator
 
 
 def inverse(a) -> list:

@@ -31,8 +31,8 @@ from .endo import (PolyMap, compose, conjugate_by_translation, invert,
                    linear_map, linear_part, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
 from .freealg import FreePoly
-from .torus import (TorusAction, check_axioms, fixed_point, t_components,
-                    weight_decomposition)
+from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
+                    t_components, weight_decomposition)
 
 
 @dataclass
@@ -134,8 +134,8 @@ def _pipeline(action: TorusAction,
     n = action.rank
     center = fixed_point(action)  # verified: no constant part remains
     moved = conjugate_by_translation(action.map, center)
-    base_change, weights = weight_decomposition(linear_part(moved), nvars=n)
-    if linalg.int_det(weights) == 0:
+    base_change, weights = weight_decomposition(linear_part(moved))
+    if not is_effective(weights):
         raise NotEffective(
             "weight matrix is singular: a subtorus acts trivially",
             report=LinearizationReport(

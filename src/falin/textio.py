@@ -20,7 +20,8 @@ a z-variable must be a positive integer (it expands into repeated
 letters); powers on t-variables may be any integer.  A power or product
 that would build words longer than MAX_WORD_LENGTH letters, or form more
 than MAX_PRODUCTS products of terms (a Laurent coefficient counting one
-term per t-monomial), is a parse error, and so is a power above
+term per t-monomial) or scalars of more than MAX_DIGITS digits, is a parse
+error, and so is a longer numeral, a non-ASCII token, a power above
 MAX_WORD_LENGTH of an expression without z-letters or parentheses nested
 more than MAX_NESTING deep.  Map documents may not mention t-variables.
 
@@ -35,6 +36,8 @@ t-factors hoisted left of the z-letters.  ``parse(render(x))`` rebuilds
 from __future__ import annotations
 
 import json
+import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -59,6 +62,10 @@ KEYWORDS = {"rank", "action", "map", "end"}
 # expression without z-letters to a power above MAX_WORD_LENGTH.
 MAX_WORD_LENGTH = 10_000
 MAX_PRODUCTS = 100_000
+# Scalars stay printable (CPython converts at most 4,300 digits between
+# int and str): a numeral has at most MAX_DIGITS digits, and a product or
+# power is rejected before it is formed when its scalars could have more.
+MAX_DIGITS = 1_000
 # The parser recurses once per parenthesis, so nesting is bounded well
 # inside Python's recursion limit.
 MAX_NESTING = 100
@@ -97,6 +104,11 @@ class _Token:
         self.col = col
 
 
+# ASCII only: str.isdigit also accepts superscripts and other scripts
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
+
+
 def _tokenize(text: str):
     tokens = []
     line, col = 1, 1
@@ -120,17 +132,18 @@ def _tokenize(text: str):
             col = 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, start_col))
+            tokens.append(_Token("int", _numeral(text[i:j], line, start_col),
+                                 line, start_col))
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < size and text[j].isalnum():
+            while j < size and (text[j] in _LETTERS or text[j] in _DIGITS):
                 j += 1
             name = text[i:j]
             col += j - i
@@ -139,7 +152,8 @@ def _tokenize(text: str):
                 tokens.append(_Token(name, name, line, start_col))
             elif name[0] in "zt" and len(name) > 1 and name[1:].isdigit():
                 tokens.append(_Token("zvar" if name[0] == "z" else "tvar",
-                                     int(name[1:]), line, start_col))
+                                     _numeral(name[1:], line, start_col + 1),
+                                     line, start_col))
             else:
                 raise ParseError(f"unknown name '{name}'", line, start_col)
             continue
@@ -156,6 +170,12 @@ def _tokenize(text: str):
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("eof", None, line, col))
     return tokens
+
+
+def _numeral(digits: str, line: int, col: int) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"numeral of more than {MAX_DIGITS} digits", line, col)
+    return int(digits)
 
 
 # -- parser -------------------------------------------------------------
@@ -253,21 +273,23 @@ class _Parser:
         return poly
 
     def term(self) -> FreePoly:
-        poly = self.factor()
+        poly, height = self.factor()
         length, count = poly.degree(), _expansion_terms(poly)
         while self.peek().kind == "*":
             star = self.advance()
-            rhs = self.factor()
+            rhs, rhs_height = self.factor()
             length += rhs.degree()
             count *= _expansion_terms(rhs)
-            _check_expansion(length, count, star)
+            height += rhs_height
+            _check_expansion(length, count, star, height)
             poly = poly * rhs
         return poly
 
-    def factor(self) -> FreePoly:
-        poly, zvar, tvar = self.atom()
+    def factor(self):
+        """Returns (poly, log2 of a bound on its H; see _log2_height)."""
+        poly, zvar, tvar, height = self.atom()
         if self.peek().kind != "^":
-            return poly
+            return poly, height
         caret = self.advance()
         power = self.signed_int()
         if zvar is not None:
@@ -275,24 +297,26 @@ class _Parser:
                 raise ParseError("power of a z-variable must be a positive integer",
                                  caret.line, caret.col)
             _check_expansion(power, 1, caret)
-            return FreePoly(self.rank, {(zvar,) * power: 1})
+            return FreePoly(self.rank, {(zvar,) * power: 1}), 0.0
         if tvar is not None:
             coeff = LaurentPoly.var(self.rank, tvar, power)
-            return FreePoly.const(self.rank, coeff, self.rank)
-        if power >= 0:
-            length = max(poly.degree(), 0) * power
-            if not length and power > MAX_WORD_LENGTH:
-                raise ParseError(f"power {power} of an expression without "
-                                 f"z-letters is more than {MAX_WORD_LENGTH}",
+            return FreePoly.const(self.rank, coeff, self.rank), 0.0
+        if power < 0:  # a power of the inverse, whose H is the same
+            poly = poly.is_unit()
+            if poly is None:
+                raise ParseError("negative power of a non-invertible expression",
                                  caret.line, caret.col)
-            _check_expansion(length, 1, caret)  # bounds power first
-            _check_expansion(length, _expansion_terms(poly) ** power, caret)
-            return poly ** power
-        inverse = poly.is_unit()
-        if inverse is None:
-            raise ParseError("negative power of a non-invertible expression",
+        exponent = abs(power)
+        length = max(poly.degree(), 0) * exponent
+        if not length and exponent > MAX_WORD_LENGTH:
+            raise ParseError(f"power {exponent} of an expression without "
+                             f"z-letters is more than {MAX_WORD_LENGTH}",
                              caret.line, caret.col)
-        return inverse ** (-power)
+        _check_expansion(length, 1, caret)  # bounds the exponent first
+        count = _expansion_terms(poly) ** exponent
+        height *= exponent
+        _check_expansion(length, count, caret, height)
+        return poly ** exponent, math.log2(count or 1) + height
 
     def signed_int(self) -> int:
         negative = False
@@ -303,17 +327,18 @@ class _Parser:
         return -tok.value if negative else tok.value
 
     def atom(self):
-        """Returns (poly, z-index or None, t-index or None)."""
+        """Returns (poly, z-index or None, t-index or None, log2 of its H)."""
         tok = self.peek()
         if tok.kind == "int" or tok.kind == "-":
             value = self.rational()
-            return FreePoly.const(self.rank, value), None, None
+            height = math.log2(max(abs(value.numerator), value.denominator))
+            return FreePoly.const(self.rank, value), None, None, height
         if tok.kind == "zvar":
             self.advance()
             if not 1 <= tok.value <= self.rank:
                 raise ParseError(f"z{tok.value} exceeds rank {self.rank}",
                                  tok.line, tok.col)
-            return FreePoly.gen(self.rank, tok.value), tok.value, None
+            return FreePoly.gen(self.rank, tok.value), tok.value, None, 0.0
         if tok.kind == "tvar":
             self.advance()
             if self.nvars is None:
@@ -323,7 +348,8 @@ class _Parser:
                 raise ParseError(f"t{tok.value} exceeds rank {self.rank}",
                                  tok.line, tok.col)
             coeff = LaurentPoly.var(self.rank, tok.value)
-            return FreePoly.const(self.rank, coeff, self.rank), None, tok.value
+            coeff_poly = FreePoly.const(self.rank, coeff, self.rank)
+            return coeff_poly, None, tok.value, 0.0
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested more than {MAX_NESTING} "
@@ -333,7 +359,7 @@ class _Parser:
             poly = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return poly, None, None
+            return poly, None, None, _log2_height(poly)
         raise ParseError("expected a rational, a variable, or '('",
                          tok.line, tok.col)
 
@@ -360,13 +386,32 @@ def _expansion_terms(poly: FreePoly) -> int:
                for c in poly.terms.values())
 
 
-def _check_expansion(length: int, count: int, tok) -> None:
+def _check_expansion(length: int, count: int, tok, log2_height=0.0) -> None:
     if length > MAX_WORD_LENGTH:
         raise ParseError(f"expansion would build words of {length} letters, "
                          f"more than {MAX_WORD_LENGTH}", tok.line, tok.col)
     if count > MAX_PRODUCTS:
         raise ParseError(f"expansion would form {count} term products, "
                          f"more than {MAX_PRODUCTS}", tok.line, tok.col)
+    if (math.log2(count or 1) + log2_height) * math.log10(2) > MAX_DIGITS:
+        raise ParseError(f"expansion would form scalars of more than "
+                         f"{MAX_DIGITS} digits", tok.line, tok.col)
+
+
+def _log2_height(poly: FreePoly) -> float:
+    """log2 of H = max(V, 1) * L, V the largest absolute scalar and L the lcm
+    of the denominators of ``poly``.  A coefficient of a product p_1 ... p_k
+    summing K term products has num and den at most K * H_1 * ... * H_k."""
+    log2_v, lcm = 0.0, 1
+    for c in poly.terms.values():
+        for x in (c.terms.values() if isinstance(c, LaurentPoly) else (c,)):
+            if type(x) is int:
+                log2_v = max(log2_v, math.log2(abs(x)))
+            else:
+                log2_v = max(log2_v, math.log2(abs(x.numerator))
+                             - math.log2(x.denominator))
+                lcm = math.lcm(lcm, x.denominator)
+    return log2_v + math.log2(lcm)
 
 
 def parse(text: str) -> ActionDocument:

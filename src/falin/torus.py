@@ -3,8 +3,9 @@
 A TorusAction wraps a PolyMap whose coefficients are Laurent polynomials
 in as many torus variables as the algebra has generators.  This module
 verifies the group-action axioms symbolically, specializes actions at
-torus points, diagonalizes linear parts into weight spaces, decides
-effectiveness, and reads the fixed point off the t-constant part of the
+torus points, diagonalizes linear parts into weight spaces read off the
+t-graded coefficient matrices, decides effectiveness by the rank of the
+weight matrix, and reads the fixed point off the t-constant part of the
 constant terms.
 
 The axiom check is graded by t (Bialynicki-Birula's weight argument):
@@ -147,71 +148,55 @@ def specialize(action: TorusAction, point: Sequence) -> PolyMap:
 
 
 def is_effective(weights) -> bool:
-    """Effective iff the integer weight matrix is non-singular."""
-    return linalg.int_det(weights) != 0
+    """Effective iff the integer weight matrix has full rank."""
+    if any(type(normalize_scalar(x)) is not int
+           for row in weights for x in row):
+        raise ValueError("weights must be integers")
+    return len(linalg.rref(weights)[1]) == len(weights)
 
 
-def weight_decomposition(matrix, nvars: Optional[int] = None):
+def weight_decomposition(matrix):
     """Split K^n into weight spaces of a Laurent matrix A(t).
 
-    Candidate weights are every exponent vector occurring in A; the weight
-    space of mu is the rational kernel of the system obtained by matching
-    coefficients of each t-monomial in A(t) v = t^mu v.  Returns (P, M):
-    the base change whose columns are the concatenated kernel bases, and
-    the integer matrix whose i-th row is the weight of column i, so that
-    P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) exactly: each column solves
-    A(t) v = t^mu v by construction.
-
-    Raises NotDiagonalizable when the weight spaces do not fill K^n, which
-    for a split torus representation over the rationals means the input was
-    not a genuine action matrix.
+    Write A(t) = sum_nu t^nu A_nu, collecting each A_nu once in
+    first-occurrence order (rows, entries, sorted exponents).  A(t) v =
+    t^mu v says A_nu v = 0 for nu != mu and A_mu v = v, so the weight space
+    of mu is the rational kernel of those rows.  Returns (P, M): the base
+    change whose columns are the concatenated kernel bases, and the integer
+    matrix whose i-th row is the weight of column i, so that P^-1 A(t) P =
+    diag(t^{m_1}, ..., t^{m_n}) exactly.  Weight spaces are independent:
+    applying A_nu to a sum of vectors from them keeps only the nu-th.  So P
+    is invertible once there are n columns, and NotDiagonalizable is raised
+    when there are fewer, which means the input was not a genuine action
+    matrix.  Entries are LaurentPoly, as ``linear_part`` gives them.
     """
     n = len(matrix)
-    for entry in (e for row in matrix for e in row):
-        if isinstance(entry, LaurentPoly):
-            nvars = entry.nvars if nvars is None else nvars
-            if entry.nvars != nvars:
-                raise RankMismatch("matrix entries over differing variable sets")
-    if nvars is None:
-        raise RankMismatch("matrix has no Laurent entries and no explicit nvars")
-    matrix = [[e if isinstance(e, LaurentPoly) else LaurentPoly.const(nvars, e)
-               for e in row] for row in matrix]
-
-    candidates = []
-    seen = set()
-    for row in matrix:
-        for entry in row:
-            for exps in sorted(entry.terms):
-                if exps not in seen:
-                    seen.add(exps)
-                    candidates.append(exps)
+    graded = {}  # nu -> {i: row i of A_nu}, for the nonzero rows only
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            for nu in sorted(entry.terms):
+                a_nu = graded.setdefault(nu, {})
+                a_nu.setdefault(i, [0] * n)[j] = entry.terms[nu]
 
     columns = []
     weights = []
-    for mu in candidates:
-        rows = []
+    for mu, a_mu in graded.items():
+        rows = [row for nu, a_nu in graded.items() if nu != mu
+                for row in a_nu.values()]
         for i in range(n):
-            support = set()
-            for j in range(n):
-                support.update(matrix[i][j].terms)
-            support.add(mu)
-            for exps in sorted(support):
-                row = [matrix[i][j].terms.get(exps, 0) for j in range(n)]
-                if exps == mu:
-                    row[i] -= 1
+            row = list(a_mu.get(i, [0] * n))
+            row[i] -= 1
+            if any(row):
                 rows.append(row)
         for vec in linalg.kernel_basis(rows, n):
             columns.append(vec)
             weights.append(list(mu))
 
-    if len(columns) != n:
+    if len(columns) < n:
         raise NotDiagonalizable(
             f"weight spaces span dimension {len(columns)} of {n}")
     basis = [[columns[j][i] for j in range(n)] for i in range(n)]
-    if not linalg.det(basis):
-        raise NotDiagonalizable("weight vectors are linearly dependent")
-
-    return basis, [list(w) for w in weights]
+    return basis, weights
 
 
 # -- fixed points ------------------------------------------------------

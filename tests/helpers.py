@@ -1,11 +1,28 @@
 """Deterministic random algebra values shared by the test modules."""
 
+import functools
 import random
 from fractions import Fraction
 
-from falin import FreePoly, LaurentPoly, PolyMap
+from falin import CorpusSpec, FreePoly, LaurentPoly, PolyMap, gen_action
 
 NONZERO = [x for x in range(-4, 5) if x]
+
+
+def det(rows):
+    """Determinant by cofactor expansion along the first row (small matrices)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@functools.cache
+def rank45_actions():
+    """The rank-4/5 tier: spec seeds 0-5 at ranks 4 and 5, generated once."""
+    return tuple(gen_action(CorpusSpec(rank=rank, seed=seed, n_elementary=rank,
+                                       max_poly_degree=2, weight_bound=3))[0]
+                 for rank in (4, 5) for seed in range(6))
 
 
 def rand_fraction(rng: random.Random) -> Fraction:

@@ -21,10 +21,9 @@ from falin.cli import run as cli_run
 from falin.corpusgen import CorpusSpec, gen_action
 from falin.endo import scalar_linear_part
 from falin.errors import ParseError
-from falin.linalg import int_det
 from falin.torus import translated_constant_part
 
-from helpers import (rand_laurent_map, rand_scalar_map, rand_scalar_poly)
+from helpers import det, rand_laurent_map, rand_scalar_map, rand_scalar_poly
 
 EX_A = """rank 2
 action
@@ -97,7 +96,7 @@ def _singular_weight_matrices(count, rank, bound=3, seed=1234):
     while len(found) < count:
         m = [[rng.randint(-bound, bound) for _ in range(rank)]
              for _ in range(rank)]
-        if int_det(m) == 0 and any(any(row) for row in m):
+        if det(m) == 0 and any(any(row) for row in m):
             found.append(tuple(tuple(r) for r in m))
     return found
 
@@ -109,7 +108,7 @@ def test_criterion_4_effectiveness_detection(tmp_path):
                           max_poly_degree=2, weight_bound=3,
                           force_effective=False, weights=weights)
         action, truth = gen_action(spec)
-        assert int_det(truth.weights) == 0
+        assert det(truth.weights) == 0
         path = tmp_path / f"singular_{i}.act"
         path.write_text(render(action))
         assert cli_run(["linearize", str(path), "--out",
@@ -121,7 +120,7 @@ def test_criterion_4_effectiveness_detection(tmp_path):
                           max_poly_degree=2, weight_bound=3,
                           force_effective=True)
         action, truth = gen_action(spec)
-        assert abs(int_det(truth.weights)) >= 1
+        assert abs(det(truth.weights)) >= 1
         path = tmp_path / f"effective_{i}.act"
         path.write_text(render(action))
         assert cli_run(["linearize", str(path), "--out",

@@ -220,6 +220,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("parse error: 3:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("binding", [
+        "z1 -> t1*z1 + \u00b2",
+        "z1 -> t1*z1 + " + "1" * 5000,
+        "z1 -> t1*z1 + \u0663",
+        "z\u0661 -> t1*z1",
+        "z1 -> t1*z1 + (10)^5000",
+    ], ids=["superscript_digit", "long_numeral", "arabic_digit",
+            "arabic_index", "oversized_scalar"])
+    def test_unreadable_scalar_is_parse_error(self, binding, tmp_path, capsys):
+        # each once ended in a ValueError traceback or was misread
+        path = tmp_path / "doc.act"
+        path.write_text(f"rank 1\naction\n{binding}\nend\n", encoding="utf-8")
+        assert run(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("parse error: 3:")
+                and captured.err.count("\n") == 1)
+
     def test_deep_nesting_is_parse_error(self, tmp_path, capsys):
         # deep enough to exhaust the interpreter stack without the limit
         path = tmp_path / "deep.act"

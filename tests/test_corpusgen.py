@@ -13,6 +13,7 @@ from falin.corpusgen import (CorpusSpec, _compose_guarded, conjugated_action,
                              gen_action, gen_elementary)
 from falin.linearize import build_tau
 
+from helpers import det
 from test_acceptance import corpus_spec
 
 # SHA-256 of what `falin generate` writes for acceptance specs 0-99, computed
@@ -106,13 +107,12 @@ class TestGenAction:
             assert compose(truth.alpha, truth.alpha_inverse) == identity_map(2)
 
     def test_force_effective(self):
-        from falin.linalg import int_det
         for seed in range(8):
             spec = CorpusSpec(rank=2, seed=seed, n_elementary=1,
                               max_poly_degree=2, weight_bound=1,
                               force_effective=True)
             _, truth = gen_action(spec)
-            assert int_det(truth.weights) != 0
+            assert det(truth.weights) != 0
 
     def test_weights_override(self):
         target = ((1, 0), (1, 0))

@@ -15,10 +15,6 @@ class TestIntInput:
         assert rows == [[1, Fraction(1, 2)]] and pivots == [0]
         assert all_fractions(rows)
 
-    def test_det(self):
-        value = linalg.det([[2, 1], [1, 2]])
-        assert value == 3 and type(value) is Fraction
-
     def test_inverse(self):
         inverse = linalg.inverse([[2]])
         assert inverse == [[Fraction(1, 2)]] and all_fractions(inverse)

@@ -17,6 +17,7 @@ from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
 from falin.corpusgen import conjugated_action
 from falin.errors import NotDiagonalizable
 
+from helpers import rank45_actions
 from test_acceptance import corpus_spec
 
 EX_A = """rank 2
@@ -104,7 +105,7 @@ class TestExtractBeta:
         for action in actions:
             n = action.rank
             moved = conjugate_by_translation(action.map, fixed_point(action))
-            base_change, weights = weight_decomposition(linear_part(moved), nvars=n)
+            base_change, weights = weight_decomposition(linear_part(moved))
             diagonalized = conjugate_by_linear(moved, base_change)
             expected = []
             for img, m in zip(diagonalized.images, weights):
@@ -216,6 +217,14 @@ class TestLinearize:
                 action, _ = gen_action(spec)
                 digest.update(emit_report(linearize(action)).encode())
         assert digest.hexdigest() == RANK45_REPORT_DIGEST
+
+    def test_rank45_beta_inverse_coefficients_are_canonical(self):
+        # int when integral, Fraction otherwise, as normalize_scalar stores
+        # them; invert's corrections scale by linalg's Fractions
+        for action in rank45_actions():
+            for img in linearize(action).beta_inverse.images:
+                for c in img.terms.values():
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
 
 
 def bumped_corpus_action(seed, k, delta):

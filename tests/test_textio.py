@@ -8,7 +8,7 @@ import pytest
 
 from falin import (FreePoly, LaurentPoly, ParseError, emit_report,
                    laurent_str, linearize, map_document, parse, poly_str, render)
-from falin.textio import MAX_NESTING, MAX_PRODUCTS, MAX_WORD_LENGTH
+from falin.textio import MAX_DIGITS, MAX_NESTING, MAX_PRODUCTS, MAX_WORD_LENGTH
 
 from helpers import rand_laurent_map, rand_scalar_map
 
@@ -97,13 +97,54 @@ class TestParse:
         ("(t1 + t2 + 1)^60", "^"),
         ("*".join(["(t1 + t2)"] * 17), "*"),  # 2^17 term products
         ("((t1 + t2 + 1)*z1)^11", "^"),
+        ("(2*t1)^-50000000", "^"),
     ], ids=["unit_power", "zero_power", "laurent_power", "laurent_product",
-            "laurent_coefficient_power"])
+            "laurent_coefficient_power", "negative_unit_power"])
     def test_oversized_laurent_expansion_rejected_at_operator(self, expr, op):
         with pytest.raises(ParseError) as err:
             parse(f"rank 2\naction\nz1 -> {expr}\nz2 -> t2*z2\nend\n")
         col = len("z1 -> ") + expr.rindex(op) + 1
         assert (err.value.line, err.value.col) == (3, col)
+
+    @pytest.mark.parametrize("expr, op", [
+        ("t1*z1 + (10)^5000", "^"),
+        ("(2*t1)^-4000", "^"),
+        ("(1/" + "7" * 600 + ")^2", "^"),
+        ("z1*" + "9" * 600 + "*" + "9" * 600, "*"),
+        ("(" + "9" * 600 + "*z1 + z2)^2", "^"),
+    ], ids=["integer_power", "negative_power", "denominator_power",
+            "numeral_product", "coefficient_power"])
+    def test_oversized_scalars_rejected_at_operator(self, expr, op):
+        # "(10)^5000" once parsed, and printing it died past 4,300 digits
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 2\naction\nz1 -> {expr}\nz2 -> t2*z2\nend\n")
+        col = len("z1 -> ") + expr.rindex(op) + 1
+        assert (err.value.line, err.value.col) == (3, col)
+        assert "digits" in str(err.value)
+
+    def test_scalars_at_the_limit_accepted(self):
+        numeral = "9" * MAX_DIGITS
+        doc = parse(f"rank 1\naction\nz1 -> {numeral}*t1*z1 + (10)^{MAX_DIGITS - 1}"
+                    f"\nend\n")
+        image = doc.images()[0]
+        assert image.coeff((1,)) == LaurentPoly.monomial(1, (1,), int(numeral))
+        assert render(doc) == (f"rank 1\naction\nz1 -> 1{'0' * (MAX_DIGITS - 1)}"
+                               f" + {numeral}*t1*z1\nend\n")
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("z1 -> t1*z1 + \u00b2", 15, "unexpected character"),   # superscript 2
+        ("z1 -> t1*z1 + \u0663", 15, "unexpected character"),   # Arabic-Indic 3
+        ("z\u0661 -> t1*z1", 1, "unknown name 'z'"),            # z, Arabic-Indic 1
+        ("z1 -> t1*z1 + \u00e9", 15, "unexpected character"),   # non-ASCII letter
+        ("z1 -> t1*z1 + " + "1" * (MAX_DIGITS + 1), 15, "numeral"),
+        ("z" + "1" * (MAX_DIGITS + 1) + " -> t1*z1", 2, "numeral"),
+    ], ids=["superscript_digit", "arabic_digit", "arabic_index",
+            "non_ascii_letter", "long_numeral", "long_index"])
+    def test_tokens_are_ascii_and_numerals_bounded(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\naction\n{text}\nend\n")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert message in str(err.value)
 
     def test_laurent_expansions_at_the_limits_accepted(self):
         # 3^10 = 59,049 term products; (1)^k multiplies k times

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falin import (AxiomVerdict, FreePoly, LaurentPoly, NotDiagonalizable,
                    PolyMap, TorusAction, ZeroTorusPoint, check_axioms, compose,
@@ -11,9 +13,10 @@ from falin import (AxiomVerdict, FreePoly, LaurentPoly, NotDiagonalizable,
                    is_effective, linear_part, parse, specialize,
                    weight_decomposition)
 from falin.corpusgen import CorpusSpec, gen_action
-from falin.linalg import int_det
+from falin.linalg import inverse, kernel_basis
 from falin.torus import t_components, translated_constant_part
 
+from helpers import det, rank45_actions
 from test_acceptance import corpus_spec
 
 EX_A = """rank 2
@@ -136,6 +139,95 @@ class TestWeightDecomposition:
             weight_decomposition(a)
 
 
+def reference_weight_decomposition(matrix):
+    """The per-row support loop weight_decomposition ran before it read the
+    weight spaces off the t-graded coefficient matrices, with the
+    independence check it carried."""
+    n = len(matrix)
+    candidates = []
+    for row in matrix:
+        for entry in row:
+            for exps in sorted(entry.terms):
+                if exps not in candidates:
+                    candidates.append(exps)
+    columns, weights = [], []
+    for mu in candidates:
+        rows = []
+        for i in range(n):
+            support = {mu}.union(*(matrix[i][j].terms for j in range(n)))
+            for exps in sorted(support):
+                row = [matrix[i][j].terms.get(exps, 0) for j in range(n)]
+                if exps == mu:
+                    row[i] -= 1
+                rows.append(row)
+        for vec in kernel_basis(rows, n):
+            columns.append(vec)
+            weights.append(list(mu))
+    if len(columns) != n:
+        raise NotDiagonalizable("weight spaces do not fill K^n")
+    basis = [[columns[j][i] for j in range(n)] for i in range(n)]
+    if not det(basis):
+        raise NotDiagonalizable("weight vectors are linearly dependent")
+    return basis, weights
+
+
+def _decomposition_or_error(decompose, matrix):
+    try:
+        return decompose(matrix)
+    except NotDiagonalizable:
+        return NotDiagonalizable
+
+
+def _assert_matches_reference(matrix):
+    got = _decomposition_or_error(weight_decomposition, matrix)
+    assert got == _decomposition_or_error(reference_weight_decomposition, matrix)
+    return got
+
+
+def _translated_linear_part(action):
+    return linear_part(conjugate_by_translation(action.map, fixed_point(action)))
+
+
+@st.composite
+def conjugated_diagonal_matrices(draw):
+    """(P diag(t^m) P^-1, perturbed copy) for a drawn 2x2 or 3x3 P and m."""
+    n = draw(st.integers(2, 3))
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    p = draw(st.lists(entries, min_size=n, max_size=n).filter(det))
+    m = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    p_inv = inverse(p)
+    diagonal = [LaurentPoly.monomial(n, row) for row in m]
+    matrix = [[sum((diagonal[k] * (p[i][k] * p_inv[k][j]) for k in range(n)),
+                   LaurentPoly.zero(n)) for j in range(n)] for i in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    bump = LaurentPoly.monomial(n, draw(st.sampled_from(m)),
+                                draw(st.sampled_from([-1, 1, Fraction(1, 2)])))
+    perturbed = [list(row) for row in matrix]
+    perturbed[i][j] = perturbed[i][j] + bump
+    return matrix, perturbed
+
+
+class TestWeightDecompositionMatchesReference:
+    def test_corpus_linear_parts(self):
+        for seed in range(100):
+            action, _ = gen_action(corpus_spec(seed))
+            got = _assert_matches_reference(_translated_linear_part(action))
+            assert got is not NotDiagonalizable
+
+    def test_rank45_linear_parts(self):
+        for action in rank45_actions():
+            got = _assert_matches_reference(_translated_linear_part(action))
+            assert got is not NotDiagonalizable
+
+    @settings(max_examples=150, deadline=None)
+    @given(conjugated_diagonal_matrices())
+    def test_conjugated_diagonal_and_perturbed(self, pair):
+        matrix, perturbed = pair
+        assert _assert_matches_reference(matrix) is not NotDiagonalizable
+        _assert_matches_reference(perturbed)
+
+
 class TestEffectiveness:
     def test_identity_weights(self):
         assert is_effective([[1, 0], [0, 1]])
@@ -149,9 +241,23 @@ class TestEffectiveness:
     def test_non_integer_weights_rejected(self):
         # an explicit check, so it holds under python -O as well
         with pytest.raises(ValueError):
-            int_det([[Fraction(1, 2)]])
-        with pytest.raises(ValueError):
             is_effective([[Fraction(1, 2)]])
+        with pytest.raises(ValueError):
+            is_effective([[Fraction(1, 2), 0], [0, 2]])  # det 1, entry not
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.integers(-1, n - 1), st.integers(-2, 2))))
+    def test_full_rank_iff_nonzero_determinant(self, drawn):
+        # k >= 0 makes row k a multiple of another row (of zero at rank 1),
+        # so singular matrices are drawn about as often as regular ones
+        m, k, a = drawn
+        n = len(m)
+        if k >= 0:
+            m[k] = [a * x for x in m[(k + 1) % n]] if n > 1 else [0]
+        assert is_effective(m) == (det(m) != 0)
 
 
 class TestFixedPoint:
