@@ -157,24 +157,6 @@ class FreePoly:
             return -1
         return max(len(w) for w in self.terms)
 
-    def is_unit(self):
-        """Return the inverse if this is an invertible element, else None.
-
-        Units of the (Laurent-based) free algebra are nonzero scalars times
-        an invertible torus monomial: a single empty-word term whose
-        coefficient is a Laurent monomial.
-        """
-        if len(self.terms) != 1 or EMPTY_WORD not in self.terms:
-            return None
-        coeff = self.terms[EMPTY_WORD]
-        if not isinstance(coeff, LaurentPoly):
-            inverse = normalize_scalar(1 / Fraction(coeff))
-            return FreePoly._raw(self.rank, None, {EMPTY_WORD: inverse})
-        unit = coeff.as_unit_monomial()
-        if unit is None:
-            return None
-        return FreePoly._raw(self.rank, self.nvars, {EMPTY_WORD: coeff ** -1})
-
     # -- ring operations ----------------------------------------------
 
     def _join(self, other: "FreePoly"):
@@ -229,14 +211,6 @@ class FreePoly:
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            return NotImplemented
-        result = FreePoly.const(self.rank, 1, self.nvars)
-        for _ in range(power):
-            result = f_mul(result, self)
-        return result
 
     def scale(self, coeff):
         nvars = self.nvars

@@ -21,9 +21,16 @@ letters); powers on t-variables may be any integer.  A power or product
 that would build words longer than MAX_WORD_LENGTH letters, or form more
 than MAX_PRODUCTS products of terms (a Laurent coefficient counting one
 term per t-monomial) or scalars of more than MAX_DIGITS digits, is a parse
-error, and so is a longer numeral, a non-ASCII token, a power above
-MAX_WORD_LENGTH of an expression without z-letters or parentheses nested
-more than MAX_NESTING deep.  Map documents may not mention t-variables.
+error, and so is a sum that forms such a scalar, a longer numeral, a
+non-ASCII token, a power above MAX_WORD_LENGTH of an expression without
+z-letters or parentheses nested more than MAX_NESTING deep.  Map documents
+may not mention t-variables.
+
+The parser holds every expression as one flat term map {(word,
+t-exponents): scalar} with no zero values; the t-exponents are () in a map
+document.  Sums add scalars per key, products concatenate words and add
+exponents, and each binding's FreePoly (with LaurentPoly coefficients in
+an action document) is built once, from the map of its whole expression.
 
 Printing produces the canonical form: free terms in graded-lex word
 order, Laurent terms in lexicographic exponent order, coefficients as
@@ -35,11 +42,14 @@ t-factors hoisted left of the z-letters.  ``parse(render(x))`` rebuilds
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Tuple
 
 from .coefficients import LaurentPoly, normalize_scalar
@@ -63,9 +73,11 @@ KEYWORDS = {"rank", "action", "map", "end"}
 MAX_WORD_LENGTH = 10_000
 MAX_PRODUCTS = 100_000
 # Scalars stay printable (CPython converts at most 4,300 digits between
-# int and str): a numeral has at most MAX_DIGITS digits, and a product or
-# power is rejected before it is formed when its scalars could have more.
+# int and str): a numeral has at most MAX_DIGITS digits, a product or
+# power is rejected before it is formed when its scalars could have more,
+# and a sum when a scalar it forms has more.
 MAX_DIGITS = 1_000
+_SCALAR_BOUND = 10 ** MAX_DIGITS
 # The parser recurses once per parenthesis, so nesting is bounded well
 # inside Python's recursion limit.
 MAX_NESTING = 100
@@ -94,125 +106,111 @@ class ActionDocument:
 
 # -- tokenizer ----------------------------------------------------------
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-# ASCII only: str.isdigit also accepts superscripts and other scripts
+# One token per match, after optional blanks and a comment; the empty
+# match at the end of the text is the "eof" token.  ASCII classes only (\d
+# and str.isdigit also accept superscripts and other scripts' digits); the
+# "." alternative catches any other character.
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?"
+                    r"(\n|[0-9]+|[A-Za-z][A-Za-z0-9]*|->|[-+*/^()]|.|\Z)")
+_OPERATORS = frozenset(["->", "+", "-", "*", "/", "^", "(", ")"])
 _DIGITS = frozenset(string.digits)
 _LETTERS = frozenset(string.ascii_letters)
 
 
 def _tokenize(text: str):
+    """(kind, value, index) tuples, ending with an "eof" token.
+
+    A token stores its index, not its position: ``_position`` finds the
+    line and column again when an error needs them."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "\n":
-            tokens.append(_Token("newline", None, line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", _numeral(text[i:j], line, start_col),
-                                 line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _LETTERS:
-            j = i
-            while j < size and (text[j] in _LETTERS or text[j] in _DIGITS):
-                j += 1
-            name = text[i:j]
-            col += j - i
-            i = j
-            if name in KEYWORDS:
-                tokens.append(_Token(name, name, line, start_col))
-            elif name[0] in "zt" and len(name) > 1 and name[1:].isdigit():
-                tokens.append(_Token("zvar" if name[0] == "z" else "tvar",
-                                     _numeral(name[1:], line, start_col + 1),
-                                     line, start_col))
-            else:
-                raise ParseError(f"unknown name '{name}'", line, start_col)
-            continue
-        if ch == "-" and i + 1 < size and text[i + 1] == ">":
-            tokens.append(_Token("->", None, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, None, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
+    for i, s in enumerate(_TOKEN.findall(text)):
+        if s in _OPERATORS:
+            tokens.append((s, None, i))
+        elif not s:
+            tokens.append(("eof", None, i))
+            return tokens
+        elif s[0] in "zt" and s[1:].isdigit():
+            kind = "zvar" if s[0] == "z" else "tvar"
+            tokens.append((kind, _numeral(s[1:], text, i, 1), i))
+        elif s[0] in _DIGITS:
+            tokens.append(("int", _numeral(s, text, i), i))
+        elif s == "\n":
+            tokens.append(("newline", None, i))
+        elif s in KEYWORDS:
+            tokens.append((s, s, i))
+        elif s[0] in _LETTERS:
+            raise ParseError(f"unknown name '{s}'", *_position(text, i))
+        else:
+            raise ParseError(f"unexpected character {s!r}", *_position(text, i))
 
 
-def _numeral(digits: str, line: int, col: int) -> int:
+def _numeral(digits: str, text: str, index: int, skip: int = 0) -> int:
     if len(digits) > MAX_DIGITS:
-        raise ParseError(f"numeral of more than {MAX_DIGITS} digits", line, col)
+        line, col = _position(text, index)
+        raise ParseError(f"numeral of more than {MAX_DIGITS} digits",
+                         line, col + skip)
     return int(digits)
+
+
+def _position(text: str, index: int):
+    """(line, col) of token ``index``."""
+    offset = next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # -- parser -------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the tokens; expressions are term maps."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.rank = 0
         self.nvars: Optional[int] = None   # None while parsing a map document
+        self.t0 = ()                       # t-exponents of a scalar
         self.depth = 0                     # open parentheses
 
-    def peek(self) -> _Token:
+    def error(self, message: str, tok) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
+
+    def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self):
+        # callers look at a token before consuming it, so eof never is
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str):
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col)
+        if tok[0] != kind:
+            raise self.error(f"expected {what}", tok)
         return self.advance()
 
     def skip_newlines(self):
-        while self.peek().kind == "newline":
+        while self.peek()[0] == "newline":
             self.advance()
 
     def require_newline(self, what: str):
         tok = self.peek()
-        if tok.kind != "newline":
-            raise ParseError(f"expected end of line after {what}",
-                             tok.line, tok.col)
+        if tok[0] != "newline":
+            raise self.error(f"expected end of line after {what}", tok)
         self.skip_newlines()
+
+    def check_expansion(self, length: int, count: int, tok,
+                        log2_height=0.0) -> None:
+        if length > MAX_WORD_LENGTH:
+            raise self.error(f"expansion would build words of {length} letters, "
+                             f"more than {MAX_WORD_LENGTH}", tok)
+        if count > MAX_PRODUCTS:
+            raise self.error(f"expansion would form {count} term products, "
+                             f"more than {MAX_PRODUCTS}", tok)
+        if (math.log2(count or 1) + log2_height) * math.log10(2) > MAX_DIGITS:
+            raise self.error(f"expansion would form scalars of more than "
+                             f"{MAX_DIGITS} digits", tok)
 
     # document structure
 
@@ -220,197 +218,211 @@ class _Parser:
         self.skip_newlines()
         self.expect("rank", "'rank'")
         rank_tok = self.expect("int", "a positive rank")
-        if rank_tok.value < 1:
-            raise ParseError("rank must be at least 1", rank_tok.line, rank_tok.col)
-        self.rank = rank_tok.value
+        if rank_tok[1] < 1:
+            raise self.error("rank must be at least 1", rank_tok)
+        self.rank = rank_tok[1]
         self.require_newline("the rank header")
         kind_tok = self.peek()
-        if kind_tok.kind not in ("action", "map"):
-            raise ParseError("expected 'action' or 'map'",
-                             kind_tok.line, kind_tok.col)
+        kind = kind_tok[0]
+        if kind not in ("action", "map"):
+            raise self.error("expected 'action' or 'map'", kind_tok)
         self.advance()
-        kind = kind_tok.kind
-        self.nvars = self.rank if kind == "action" else None
+        if kind == "action":
+            self.nvars = self.rank
+            self.t0 = (0,) * self.rank
         self.require_newline(f"'{kind}'")
 
         bindings = []
         seen = set()
-        while self.peek().kind == "zvar":
+        while self.peek()[0] == "zvar":
             ztok = self.advance()
-            index = ztok.value
+            index = ztok[1]
             if not 1 <= index <= self.rank:
-                raise ParseError(f"z{index} exceeds rank {self.rank}",
-                                 ztok.line, ztok.col)
+                raise self.error(f"z{index} exceeds rank {self.rank}", ztok)
             if index in seen:
-                raise ParseError(f"duplicate binding for z{index}",
-                                 ztok.line, ztok.col)
+                raise self.error(f"duplicate binding for z{index}", ztok)
             seen.add(index)
             self.expect("->", "'->'")
-            poly = self.expr()
-            if self.nvars is not None and poly.nvars is None:
-                poly = FreePoly(self.rank, poly.terms, self.nvars)
+            poly = self.build(self.expr())
             self.require_newline("the binding expression")
             bindings.append((index, poly))
         end_tok = self.expect("end", "a binding or 'end'")
         missing = [i for i in range(1, self.rank + 1) if i not in seen]
         if missing:
-            raise ParseError(f"missing binding for z{missing[0]}",
-                             end_tok.line, end_tok.col)
+            raise self.error(f"missing binding for z{missing[0]}", end_tok)
         self.skip_newlines()
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError("unexpected text after 'end'", tok.line, tok.col)
+        if tok[0] != "eof":
+            raise self.error("unexpected text after 'end'", tok)
         return ActionDocument(self.rank, kind, tuple(bindings))
 
-    # expressions
+    def build(self, terms) -> FreePoly:
+        """The binding's FreePoly, built once from its term map."""
+        if self.nvars is None:
+            return FreePoly(self.rank, {word: c for (word, _), c in terms.items()})
+        coeffs = {}
+        for (word, exps), c in terms.items():
+            coeffs.setdefault(word, {})[exps] = c
+        return FreePoly(self.rank, {word: LaurentPoly(self.nvars, t)
+                                    for word, t in coeffs.items()}, self.nvars)
 
-    def expr(self) -> FreePoly:
-        poly = self.term()
-        while self.peek().kind in ("+", "-"):
+    # expressions: each returns a fresh term map (module docstring)
+
+    def expr(self):
+        terms = self.term()
+        while self.peek()[0] in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
-            poly = poly + rhs if op.kind == "+" else poly - rhs
-        return poly
+            plus = op[0] == "+"
+            for key, c in self.term().items():
+                acc = terms.get(key, 0) + c if plus else terms.get(key, 0) - c
+                if not acc:
+                    del terms[key]
+                elif max(abs(acc.numerator), acc.denominator) >= _SCALAR_BOUND:
+                    raise self.error(f"sum would form scalars of more than "
+                                     f"{MAX_DIGITS} digits", op)
+                else:
+                    terms[key] = acc
+        return terms
 
-    def term(self) -> FreePoly:
-        poly, height = self.factor()
-        length, count = poly.degree(), _expansion_terms(poly)
-        while self.peek().kind == "*":
+    def term(self):
+        terms, height = self.factor()
+        length, count = _degree(terms), len(terms)
+        while self.peek()[0] == "*":
             star = self.advance()
             rhs, rhs_height = self.factor()
-            length += rhs.degree()
-            count *= _expansion_terms(rhs)
+            length += _degree(rhs)
+            count *= len(rhs)
             height += rhs_height
-            _check_expansion(length, count, star, height)
-            poly = poly * rhs
-        return poly
+            self.check_expansion(length, count, star, height)
+            terms = _mul(terms, rhs)
+        return terms
 
     def factor(self):
-        """Returns (poly, log2 of a bound on its H; see _log2_height)."""
-        poly, zvar, tvar, height = self.atom()
-        if self.peek().kind != "^":
-            return poly, height
+        """Returns (terms, log2 of a bound on its H; see _log2_height)."""
+        if self.peek()[0] in ("zvar", "tvar"):
+            return self.variable(), 0.0
+        terms, height = self.atom()
+        if self.peek()[0] != "^":
+            return terms, height
         caret = self.advance()
         power = self.signed_int()
-        if zvar is not None:
-            if power < 1:
-                raise ParseError("power of a z-variable must be a positive integer",
-                                 caret.line, caret.col)
-            _check_expansion(power, 1, caret)
-            return FreePoly(self.rank, {(zvar,) * power: 1}), 0.0
-        if tvar is not None:
-            coeff = LaurentPoly.var(self.rank, tvar, power)
-            return FreePoly.const(self.rank, coeff, self.rank), 0.0
         if power < 0:  # a power of the inverse, whose H is the same
-            poly = poly.is_unit()
-            if poly is None:
-                raise ParseError("negative power of a non-invertible expression",
-                                 caret.line, caret.col)
+            key = next(iter(terms)) if len(terms) == 1 else None
+            if key is None or key[0]:
+                raise self.error("negative power of a non-invertible expression",
+                                 caret)
+            terms = {((), tuple(-e for e in key[1])):
+                     normalize_scalar(1 / Fraction(terms[key]))}
         exponent = abs(power)
-        length = max(poly.degree(), 0) * exponent
+        length = max(_degree(terms), 0) * exponent
         if not length and exponent > MAX_WORD_LENGTH:
-            raise ParseError(f"power {exponent} of an expression without "
-                             f"z-letters is more than {MAX_WORD_LENGTH}",
-                             caret.line, caret.col)
-        _check_expansion(length, 1, caret)  # bounds the exponent first
-        count = _expansion_terms(poly) ** exponent
+            raise self.error(f"power {exponent} of an expression without "
+                             f"z-letters is more than {MAX_WORD_LENGTH}", caret)
+        self.check_expansion(length, 1, caret)  # bounds the exponent first
+        count = len(terms) ** exponent
         height *= exponent
-        _check_expansion(length, count, caret, height)
-        return poly ** exponent, math.log2(count or 1) + height
+        self.check_expansion(length, count, caret, height)
+        result = {((), self.t0): 1}
+        for _ in range(exponent):
+            result = _mul(result, terms)
+        return result, math.log2(count or 1) + height
+
+    def variable(self):
+        """A z- or t-variable with its optional power, as a term map."""
+        tok = self.advance()
+        kind, index = tok[0], tok[1]
+        if kind == "tvar" and self.nvars is None:
+            raise self.error("t-variables are not allowed in a map document", tok)
+        if not 1 <= index <= self.rank:
+            raise self.error(f"{kind[0]}{index} exceeds rank {self.rank}", tok)
+        power = 1
+        if self.peek()[0] == "^":
+            caret = self.advance()
+            power = self.signed_int()
+            if kind == "zvar":
+                if power < 1:
+                    raise self.error("power of a z-variable must be a positive "
+                                     "integer", caret)
+                self.check_expansion(power, 1, caret)
+        if kind == "zvar":
+            return {((index,) * power, self.t0): 1}
+        exps = list(self.t0)
+        exps[index - 1] = power
+        return {((), tuple(exps)): 1}
 
     def signed_int(self) -> int:
         negative = False
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.advance()
             negative = True
-        tok = self.expect("int", "an integer exponent")
-        return -tok.value if negative else tok.value
+        value = self.expect("int", "an integer exponent")[1]
+        return -value if negative else value
 
     def atom(self):
-        """Returns (poly, z-index or None, t-index or None, log2 of its H)."""
+        """A rational or a parenthesized expression: (terms, log2 of its H)."""
         tok = self.peek()
-        if tok.kind == "int" or tok.kind == "-":
+        if tok[0] == "int" or tok[0] == "-":
             value = self.rational()
             height = math.log2(max(abs(value.numerator), value.denominator))
-            return FreePoly.const(self.rank, value), None, None, height
-        if tok.kind == "zvar":
-            self.advance()
-            if not 1 <= tok.value <= self.rank:
-                raise ParseError(f"z{tok.value} exceeds rank {self.rank}",
-                                 tok.line, tok.col)
-            return FreePoly.gen(self.rank, tok.value), tok.value, None, 0.0
-        if tok.kind == "tvar":
-            self.advance()
-            if self.nvars is None:
-                raise ParseError("t-variables are not allowed in a map document",
-                                 tok.line, tok.col)
-            if not 1 <= tok.value <= self.rank:
-                raise ParseError(f"t{tok.value} exceeds rank {self.rank}",
-                                 tok.line, tok.col)
-            coeff = LaurentPoly.var(self.rank, tok.value)
-            coeff_poly = FreePoly.const(self.rank, coeff, self.rank)
-            return coeff_poly, None, tok.value, 0.0
-        if tok.kind == "(":
+            return ({((), self.t0): value} if value else {}), height
+        if tok[0] == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested more than {MAX_NESTING} "
-                                 f"deep", tok.line, tok.col)
+                raise self.error(f"parentheses nested more than {MAX_NESTING} "
+                                 f"deep", tok)
             self.advance()
             self.depth += 1
-            poly = self.expr()
+            terms = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
-            return poly, None, None, _log2_height(poly)
-        raise ParseError("expected a rational, a variable, or '('",
-                         tok.line, tok.col)
+            return terms, _log2_height(terms)
+        raise self.error("expected a rational, a variable, or '('", tok)
 
     def rational(self):
         negative = False
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.advance()
             negative = True
-        num_tok = self.expect("int", "an integer")
-        value = num_tok.value
-        if self.peek().kind == "/":
+        value = self.expect("int", "an integer")[1]
+        if self.peek()[0] == "/":
             self.advance()
             den_tok = self.expect("int", "a positive denominator")
-            if den_tok.value == 0:
-                raise ParseError("denominator must be positive",
-                                 den_tok.line, den_tok.col)
-            value = Fraction(num_tok.value, den_tok.value)
+            if den_tok[1] == 0:
+                raise self.error("denominator must be positive", den_tok)
+            value = Fraction(value, den_tok[1])
         return normalize_scalar(-value if negative else value)
 
 
-def _expansion_terms(poly: FreePoly) -> int:
-    """Terms an expansion multiplies: one per t-monomial of a coefficient."""
-    return sum(len(c.terms) if isinstance(c, LaurentPoly) else 1
-               for c in poly.terms.values())
+def _mul(a, b):
+    """Product of term maps: words concatenate, t-exponents add."""
+    out = {}
+    for (w1, e1), c1 in a.items():
+        for (w2, e2), c2 in b.items():
+            key = (w1 + w2, tuple(map(add, e1, e2)))
+            acc = out.get(key, 0) + c1 * c2
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
 
 
-def _check_expansion(length: int, count: int, tok, log2_height=0.0) -> None:
-    if length > MAX_WORD_LENGTH:
-        raise ParseError(f"expansion would build words of {length} letters, "
-                         f"more than {MAX_WORD_LENGTH}", tok.line, tok.col)
-    if count > MAX_PRODUCTS:
-        raise ParseError(f"expansion would form {count} term products, "
-                         f"more than {MAX_PRODUCTS}", tok.line, tok.col)
-    if (math.log2(count or 1) + log2_height) * math.log10(2) > MAX_DIGITS:
-        raise ParseError(f"expansion would form scalars of more than "
-                         f"{MAX_DIGITS} digits", tok.line, tok.col)
+def _degree(terms) -> int:
+    """Max word length; -1 for the zero map."""
+    return max([len(word) for word, _ in terms], default=-1)
 
 
-def _log2_height(poly: FreePoly) -> float:
+def _log2_height(terms) -> float:
     """log2 of H = max(V, 1) * L, V the largest absolute scalar and L the lcm
-    of the denominators of ``poly``.  A coefficient of a product p_1 ... p_k
+    of the denominators of ``terms``.  A coefficient of a product p_1 ... p_k
     summing K term products has num and den at most K * H_1 * ... * H_k."""
     log2_v, lcm = 0.0, 1
-    for c in poly.terms.values():
-        for x in (c.terms.values() if isinstance(c, LaurentPoly) else (c,)):
-            if type(x) is int:
-                log2_v = max(log2_v, math.log2(abs(x)))
-            else:
-                log2_v = max(log2_v, math.log2(abs(x.numerator))
-                             - math.log2(x.denominator))
-                lcm = math.lcm(lcm, x.denominator)
+    for x in terms.values():
+        if type(x) is int:
+            log2_v = max(log2_v, math.log2(abs(x)))
+        else:
+            log2_v = max(log2_v, math.log2(abs(x.numerator))
+                         - math.log2(x.denominator))
+            lcm = math.lcm(lcm, x.denominator)
     return log2_v + math.log2(lcm)
 
 

@@ -238,6 +238,21 @@ class TestUsageErrors:
         assert (captured.err.startswith("parse error: 3:")
                 and captured.err.count("\n") == 1)
 
+    @pytest.mark.parametrize("command", ["check", "linearize"])
+    def test_oversized_sum_is_parse_error(self, command, tmp_path, capsys):
+        # once a ValueError traceback: six 1,000-digit denominators summed
+        # into a constant of about 6,000 digits
+        p = 10 ** 999
+        path = tmp_path / "sum.act"
+        path.write_text("rank 1\naction\nz1 -> t1*z1"
+                        + "".join(f" + 1/{p + k}" for k in range(6)) + "\nend\n")
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("parse error: 3:")
+                and captured.err.count("\n") == 1)
+        assert "Traceback" not in captured.err
+
     def test_deep_nesting_is_parse_error(self, tmp_path, capsys):
         # deep enough to exhaust the interpreter stack without the limit
         path = tmp_path / "deep.act"

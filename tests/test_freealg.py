@@ -79,15 +79,6 @@ class TestSubstitute:
         assert all(isinstance(c, LaurentPoly) for c in out.terms.values())
 
 
-class TestUnits:
-    def test_scalar_inverse_is_exact(self):
-        inverse = FreePoly.const(1, 2).is_unit()
-        assert inverse == FreePoly.const(1, Fraction(1, 2))
-        assert type(inverse.constant_coeff()) is Fraction
-        assert type(FreePoly.const(1, Fraction(1, 2)).is_unit()
-                    .constant_coeff()) is int
-
-
 class TestDegree:
     def test_word_length(self):
         assert P(2, {(1, 2, 1): 1}).degree() == 3

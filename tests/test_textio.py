@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falin import (FreePoly, LaurentPoly, ParseError, emit_report,
                    laurent_str, linearize, map_document, parse, poly_str, render)
 from falin.textio import MAX_DIGITS, MAX_NESTING, MAX_PRODUCTS, MAX_WORD_LENGTH
 
-from helpers import rand_laurent_map, rand_scalar_map
+from helpers import rand_laurent_map, rand_scalar_map, rank45_actions
 
 EX_A = """rank 2
 action
@@ -61,6 +63,10 @@ class TestParse:
         img = doc.images()[0]
         assert img.coeff((1,)) == LaurentPoly(1, {(-2,): Fraction(1, 4)})
         assert img.coeff((1, 1)) == LaurentPoly.const(1, 3)
+        # inverses are exact, and integral ones are stored as int
+        img = parse("rank 1\nmap\nz1 -> (1/2)^-1*z1 + (2)^-1\nend\n").images()[0]
+        assert type(img.coeff((1,))) is int and img.coeff((1,)) == 2
+        assert img.constant_coeff() == Fraction(1, 2)
 
     @pytest.mark.parametrize("text,line,col", [
         ("rank 1\naction\nz1 -> z1 +\nend\n", 3, 11),
@@ -190,6 +196,184 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert err.value.line >= 1 and err.value.col >= 1
+
+
+class TestSumBound:
+    # p and p + 1 are coprime 1,000-digit numbers: 1/p + 1/(p + 1) has a
+    # denominator of 2,000 digits
+    P = 10 ** (MAX_DIGITS - 1)
+
+    @pytest.mark.parametrize("op", ["+", "-"])
+    def test_sum_of_long_denominators_rejected_at_operator(self, op):
+        # six such terms once built a 6,000-digit constant that no report
+        # could print
+        expr = f"t1*z1 + 1/{self.P}" + "".join(
+            f" {op} 1/{self.P + k}" for k in range(1, 6))
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\naction\nz1 -> {expr}\nend\n")
+        second = expr.index(f" {op} 1/{self.P + 1}") + 1
+        assert (err.value.line, err.value.col) == (3, len("z1 -> ") + second + 1)
+        assert "sum" in str(err.value) and "digits" in str(err.value)
+
+    def test_integer_sum_past_the_limit_rejected_at_operator(self):
+        nines = "9" * MAX_DIGITS
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\nmap\nz1 -> z1 + {nines} + 0 + 1\nend\n")
+        assert err.value.col == len(f"z1 -> z1 + {nines} + 0 +")
+        assert "digits" in str(err.value)
+
+    def test_sums_at_the_limit_accepted(self):
+        nines = "9" * MAX_DIGITS
+        half = "4" * MAX_DIGITS
+        doc = parse(f"rank 1\nmap\nz1 -> z1 + {nines} - 1 + 1 + 0*z1"
+                    f" + {half}*z1 + {half}*z1 + 1/{self.P}*z1^2 - 1/{self.P}*z1^2"
+                    f"\nend\n")
+        image = doc.images()[0]
+        assert image.constant_coeff() == int(nines)
+        assert image.coeff((1,)) == 1 + 2 * int(half)
+
+    def test_long_sum_of_small_integers_accepted(self):
+        count = 20_000
+        doc = parse("rank 1\naction\nz1 -> t1*z1" + " + 1 - t1" * count
+                    + "\nend\n")
+        image = doc.images()[0]
+        assert image.constant_coeff() == LaurentPoly(
+            1, {(0,): count, (1,): -count})
+
+
+# -- parser against FreePoly/LaurentPoly arithmetic ---------------------
+
+RANK = 2
+
+
+def _node(text, value, prec):
+    """A generated expression: its text, its value and its precedence
+    (0 a sum, 1 a product, 2 a factor that may stand anywhere)."""
+    return text, value, prec
+
+
+def _paren(node, below):
+    return f"({node[0]})" if node[2] < below else node[0]
+
+
+def _leaves(nvars):
+    const = (lambda c: FreePoly.const(RANK, c, nvars))
+    rationals = st.builds(
+        lambda n, d: _node(f"{n}/{d}" if d > 1 else str(n),
+                           const(Fraction(n, d)), 2),
+        st.integers(-12, 12), st.integers(1, 4))
+    zvars = st.builds(
+        lambda i, k: _node(f"z{i}^{k}" if k > 1 else f"z{i}",
+                           _power(FreePoly.gen(RANK, i, nvars), k), 2),
+        st.integers(1, RANK), st.integers(1, 3))
+    if nvars is None:
+        return rationals | zvars
+    tvars = st.builds(
+        lambda i, k: _node(f"t{i}^{k}", const(LaurentPoly.var(RANK, i, k)), 2),
+        st.integers(1, RANK), st.integers(-3, 3))
+    return rationals | zvars | tvars
+
+
+def _power(poly, k):
+    result = FreePoly.const(RANK, 1, poly.nvars)
+    for _ in range(k):
+        result = result * poly
+    return result
+
+
+def _inverse_powers(nvars):
+    """(u)^-k for a unit u, written with a sum that cancels down to u."""
+    def build(n, d, exps, j, k):
+        c = Fraction(n, d)
+        if nvars is None:
+            mono, value = "", c ** -k
+        else:
+            mono = "".join(f"*t{i}^{e}" for i, e in enumerate(exps, start=1))
+            value = LaurentPoly.monomial(RANK, exps, c) ** -k
+        return _node(f"({c}{mono} + z{j} - z{j})^-{k}",
+                     FreePoly.const(RANK, value, nvars), 2)
+    return st.builds(build, st.sampled_from([-3, -2, -1, 1, 2, 5]),
+                     st.integers(1, 3), st.tuples(*[st.integers(-2, 2)] * RANK),
+                     st.integers(1, RANK), st.integers(1, 3))
+
+
+def _extend(nvars):
+    def sums(children):
+        def build(a, b, op):
+            if op == "-":
+                return _node(f"{a[0]} - {_paren(b, 1)}", a[1] - b[1], 0)
+            return _node(f"{a[0]} + {b[0]}", a[1] + b[1], 0)
+        return st.builds(build, children, children, st.sampled_from("+-"))
+
+    def products(children):
+        return st.builds(lambda a, b: _node(f"{_paren(a, 1)}*{_paren(b, 1)}",
+                                            a[1] * b[1], 1), children, children)
+
+    def powers(children):
+        return st.builds(lambda a, k: _node(f"({a[0]})^{k}", _power(a[1], k), 2),
+                         children, st.integers(0, 2))
+
+    def cancelled(children):
+        return st.builds(lambda a: _node(f"{a[0]} - ({a[0]})",
+                                         a[1] - a[1], 0), children)
+
+    return lambda children: (sums(children) | products(children)
+                             | powers(children) | cancelled(children))
+
+
+def _expressions(nvars):
+    return st.recursive(_leaves(nvars) | _inverse_powers(nvars),
+                        _extend(nvars), max_leaves=10)
+
+
+def _scalars(poly):
+    for c in poly.terms.values():
+        yield from (c.terms.values() if isinstance(c, LaurentPoly) else (c,))
+
+
+class TestParseAgainstArithmetic:
+    @pytest.mark.parametrize("kind, nvars", [("action", RANK), ("map", None)])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_parse_equals_evaluated_tree(self, kind, nvars, data):
+        text, value, _ = data.draw(_expressions(nvars))
+        doc = parse(f"rank {RANK}\n{kind}\nz1 -> {text}\nz2 -> z2\nend\n")
+        image = doc.images()[0]
+        assert image == value
+        for c in _scalars(image):
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+# -- tokenizer positions ------------------------------------------------
+
+class TestPositions:
+    @pytest.mark.parametrize("text, line, col", [
+        ("rank 1\naction\nz1 ->\t\t?\n", 3, 8),
+        ("rank 1\naction\nz1 -> z1\r + ?\nend\n", 3, 13),
+        ("rank 1\r\naction\r\nz1 -> z1 ? 1\r\nend\r\n", 3, 10),
+        ("rank 1\r\naction\r\nz1 -> z1\r\nend\r\nz1\r\n", 5, 1),
+        ("# c ? \u00e9\nrank 1 # ?\naction\n\n# z1 ->\nz1 -> z1 + q\nend\n",
+         6, 12),
+        ("rank 1\naction\nz1 ->?\nend\n", 3, 6),
+        ("rank 1\naction\nz1 ->-> z1\nend\n", 3, 6),
+        ("rank 1\naction\nz1 -> z1 +", 3, 11),
+        ("rank 1\naction\nz1 -> z1 +  \t# trailing", 3, 24),
+        ("rank 1\naction\nz1 -> z1", 3, 9),
+        ("rank 1\naction\nz1 -> z1\n\n  ", 5, 3),
+    ], ids=["tabs", "carriage_return", "crlf", "crlf_after_end", "comments",
+            "after_arrow", "arrow_twice", "eof_after_operator",
+            "eof_after_comment", "eof_without_newline", "eof_after_blanks"])
+    def test_error_positions(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_crlf_document_parses_like_its_lf_copy(self):
+        texts = [EX_A] + [render(a) for a in rank45_actions()[:2]]
+        for text in texts:
+            crlf = text.replace("\n", "\r\n")
+            assert parse(crlf) == parse(text)
+            assert render(parse(crlf)) == text
 
 
 class TestPrint:
