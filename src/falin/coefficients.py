@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NotMonomial, VariableMismatch, ZeroTorusPoint
+from .errors import VariableMismatch, ZeroTorusPoint
 
 Exponents = "tuple[int, ...]"
 
@@ -109,10 +109,6 @@ class LaurentPoly:
                 return not self.terms
             return self.terms == {(0,) * self.nvars: other}
         return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
 
@@ -223,22 +219,6 @@ class LaurentPoly:
         return res
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if not isinstance(power, int):
-            return NotImplemented
-        if power < 0:
-            unit = self.as_unit_monomial()
-            if unit is None:
-                raise NotMonomial("negative power of a non-monomial Laurent polynomial")
-            exps, coeff = unit
-            coeff = Fraction(coeff) ** power
-            return LaurentPoly(self.nvars,
-                               {tuple(power * e for e in exps): coeff})
-        result = LaurentPoly.one(self.nvars)
-        for _ in range(power):
-            result = result * self
-        return result
 
     # -- evaluation ---------------------------------------------------
 

@@ -64,10 +64,6 @@ class PolyMap:
             return NotImplemented
         return self.images == other.images
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self) -> str:

@@ -20,10 +20,6 @@ class RankMismatch(FalinError):
     """Free-algebra operands disagree on rank or coefficient kind."""
 
 
-class NotMonomial(FalinError):
-    """A substitution image was required to be a single monomial."""
-
-
 class ZeroTorusPoint(FalinError):
     """An evaluation point had a zero entry (not a torus element)."""
 

@@ -127,10 +127,6 @@ class FreePoly:
         return (self.rank == other.rank and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self) -> str:

@@ -3,11 +3,10 @@
 Matrices are lists of lists of exact rationals, ``int`` or ``Fraction``.
 ``rref`` is the one elimination routine: it converts its input to
 ``Fraction`` before it eliminates, so no division of two ``int`` entries
-ever yields a float, and its results (and those of ``kernel_basis``,
-``solve_particular`` and ``inverse``, which are built on it) are
-``Fraction`` throughout.  Sizes here are the algebra rank (a handful), so
-plain Gaussian elimination is the right tool; there is no pivoting
-strategy beyond "first nonzero".
+ever yields a float, and its results (and those of ``solve_particular``
+and ``inverse``, which are built on it) are ``Fraction`` throughout.  It is
+plain Gauss-Jordan elimination with no pivoting strategy beyond "first
+nonzero"; exact arithmetic needs no numerical pivoting.
 """
 
 from __future__ import annotations
@@ -50,26 +49,6 @@ def rref(rows, ncols=None):
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def kernel_basis(rows, ncols: int) -> list:
-    """Basis of the right kernel, one vector per free column.
-
-    Free variables are set to 1 in increasing column order, which makes the
-    basis canonical.
-    """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][free]
-        basis.append(v)
-    return basis
 
 
 def solve_particular(a, b):

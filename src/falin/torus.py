@@ -3,10 +3,12 @@
 A TorusAction wraps a PolyMap whose coefficients are Laurent polynomials
 in as many torus variables as the algebra has generators.  This module
 verifies the group-action axioms symbolically, specializes actions at
-torus points, diagonalizes linear parts into weight spaces read off the
-t-graded coefficient matrices, decides effectiveness by the rank of the
-weight matrix, and reads the fixed point off the t-constant part of the
-constant terms.
+torus points, diagonalizes linear parts into weight spaces, decides
+effectiveness by the rank of the weight matrix, and reads the fixed point
+off the t-constant part of the constant terms.  The weight space of mu is
+the image of the t^mu coefficient matrix A_mu of the linear part: its
+canonical basis comes from one rref over the columns of A_mu, and each
+vector is checked to be scaled by t^mu.
 
 The axiom check is graded by t (Bialynicki-Birula's weight argument):
 with sigma(t)(z_i) = sum_m t^m g_{i,m}(z), sigma(s) o sigma(t) = sigma(st)
@@ -161,38 +163,51 @@ def weight_decomposition(matrix):
     Write A(t) = sum_nu t^nu A_nu, collecting each A_nu once in
     first-occurrence order (rows, entries, sorted exponents).  A(t) v =
     t^mu v says A_nu v = 0 for nu != mu and A_mu v = v, so the weight space
-    of mu is the rational kernel of those rows.  Returns (P, M): the base
-    change whose columns are the concatenated kernel bases, and the integer
-    matrix whose i-th row is the weight of column i, so that P^-1 A(t) P =
-    diag(t^{m_1}, ..., t^{m_n}) exactly.  Weight spaces are independent:
-    applying A_nu to a sum of vectors from them keeps only the nu-th.  So P
-    is invertible once there are n columns, and NotDiagonalizable is raised
-    when there are fewer, which means the input was not a genuine action
-    matrix.  Entries are LaurentPoly, as ``linear_part`` gives them.
+    W_mu lies in the image of A_mu; when A(t) is diagonalizable, A_mu is
+    the projection onto W_mu along the other weight spaces, and W_mu is
+    that image.  So W_mu is read off the columns of A_mu by one rref in
+    reversed coordinates, its rows taken in reverse order and reversed
+    back.  That gives the canonical basis of the space, which depends on
+    the space alone: its vectors end in a 1 at distinct positions, where
+    the others are 0.  Each vector is kept only if A(t) v = t^mu v.
+
+    Returns (P, M): the base change whose columns are the concatenated
+    bases, and the integer matrix whose i-th row is the weight of column
+    i, so that P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) exactly.  Weight
+    spaces are independent: applying A_nu to a sum of vectors from them
+    keeps only the nu-th.  So P is invertible once there are n columns.  A
+    failed check, or fewer than n columns, raises NotDiagonalizable: the
+    input was not a genuine action matrix.  Entries are LaurentPoly, as
+    ``linear_part`` gives them.
     """
     n = len(matrix)
-    graded = {}  # nu -> {i: row i of A_nu}, for the nonzero rows only
+    graded = {}  # nu -> {(i, j): entry of A_nu}, for nonzero entries only
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
             for nu in sorted(entry.terms):
-                a_nu = graded.setdefault(nu, {})
-                a_nu.setdefault(i, [0] * n)[j] = entry.terms[nu]
+                graded.setdefault(nu, {})[i, j] = entry.terms[nu]
 
     columns = []
     weights = []
     for mu, a_mu in graded.items():
-        rows = [row for nu, a_nu in graded.items() if nu != mu
-                for row in a_nu.values()]
-        for i in range(n):
-            row = list(a_mu.get(i, [0] * n))
-            row[i] -= 1
-            if any(row):
-                rows.append(row)
-        for vec in linalg.kernel_basis(rows, n):
+        image_columns = [[a_mu.get((i, j), 0) for i in reversed(range(n))]
+                         for j in {j for _, j in a_mu}]
+        for row in reversed(linalg.rref(image_columns)[0]):
+            vec = row[::-1]
+            image = {}  # (nu, i) -> entry i of A_nu vec
+            for nu, a_nu in graded.items():
+                for (i, j), c in a_nu.items():
+                    if vec[j]:
+                        image[nu, i] = image.get((nu, i), 0) + c * vec[j]
+            if ({key: x for key, x in image.items() if x}
+                    != {(mu, i): x for i, x in enumerate(vec) if x}):
+                raise NotDiagonalizable(
+                    f"A(t) does not scale by t^{mu} a vector of the image "
+                    f"of A_{mu}")
             columns.append(vec)
             weights.append(list(mu))
 
-    if len(columns) < n:
+    if len(columns) != n:
         raise NotDiagonalizable(
             f"weight spaces span dimension {len(columns)} of {n}")
     basis = [[columns[j][i] for j in range(n)] for i in range(n)]

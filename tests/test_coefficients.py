@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falin import LaurentPoly, VariableMismatch, ZeroTorusPoint, laurent_str
-from falin.errors import NotMonomial
 
 from helpers import rand_laurent
 
@@ -33,15 +32,6 @@ class TestExactScalar:
         assert [type(c) for _, c in p.sorted_terms()] == [int, Fraction, int]
         assert type(LaurentPoly.one(1).constant_coeff()) is int
         assert type(LaurentPoly.var(1, 1).terms[(1,)]) is int
-
-    def test_negative_power_is_exact(self):
-        inverse = LaurentPoly.monomial(1, [1], 2) ** -1
-        assert inverse == LaurentPoly.monomial(1, [-1], Fraction(1, 2))
-        assert type(inverse.terms[(-1,)]) is Fraction
-
-    def test_negative_power_of_non_monomial_rejected(self):
-        with pytest.raises(NotMonomial):
-            L(1, {(1,): 1, (0,): 1}) ** -1
 
     def test_int_and_integral_fraction_agree(self):
         as_int = L(1, {(1,): 2, (0,): -1})

@@ -23,6 +23,18 @@ def P(rank, terms, nvars=None):
     return FreePoly(rank, terms, nvars)
 
 
+@pytest.mark.parametrize("make", [
+    lambda c: LaurentPoly.monomial(1, [1], c),
+    lambda c: FreePoly(1, {(1,): c}),
+    lambda c: PolyMap([FreePoly(1, {(1,): c})]),
+], ids=["LaurentPoly", "FreePoly", "PolyMap"])
+def test_not_equal_follows_equal(make):
+    # != is derived from __eq__, including its NotImplemented fallback
+    assert not make(2) != make(2)
+    assert make(2) != make(3)
+    assert make(2) != "x" and "x" != make(2)
+
+
 class TestCompose:
     def test_identity_neutral(self):
         rng = random.Random(5)

@@ -18,7 +18,3 @@ class TestIntInput:
     def test_inverse(self):
         inverse = linalg.inverse([[2]])
         assert inverse == [[Fraction(1, 2)]] and all_fractions(inverse)
-
-    def test_kernel_basis(self):
-        basis = linalg.kernel_basis([[2, 1]], 2)
-        assert basis == [[Fraction(-1, 2), 1]] and all_fractions(basis)

@@ -289,7 +289,7 @@ def _inverse_powers(nvars):
             mono, value = "", c ** -k
         else:
             mono = "".join(f"*t{i}^{e}" for i, e in enumerate(exps, start=1))
-            value = LaurentPoly.monomial(RANK, exps, c) ** -k
+            value = LaurentPoly.monomial(RANK, [-k * e for e in exps], c ** -k)
         return _node(f"({c}{mono} + z{j} - z{j})^-{k}",
                      FreePoly.const(RANK, value, nvars), 2)
     return st.builds(build, st.sampled_from([-3, -2, -1, 1, 2, 5]),

@@ -13,7 +13,7 @@ from falin import (AxiomVerdict, FreePoly, LaurentPoly, NotDiagonalizable,
                    is_effective, linear_part, parse, specialize,
                    weight_decomposition)
 from falin.corpusgen import CorpusSpec, gen_action
-from falin.linalg import inverse, kernel_basis
+from falin.linalg import inverse, rref
 from falin.torus import t_components, translated_constant_part
 
 from helpers import det, rank45_actions
@@ -138,11 +138,33 @@ class TestWeightDecomposition:
         with pytest.raises(NotDiagonalizable):
             weight_decomposition(a)
 
+    def test_rejects_image_not_scaled(self):
+        # the ranks of A_(1,0) and A_(0,0) sum to n, but A(t) e1 = t1 e1,
+        # not e1, although e1 spans the image of A_(0,0)
+        a = [[LaurentPoly.var(2, 1), LaurentPoly.one(2)],
+             [LaurentPoly.zero(2), LaurentPoly.zero(2)]]
+        assert _assert_matches_reference(a) is NotDiagonalizable
+
+
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel, one vector per free column, with free
+    variables set to 1 in increasing column order."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][free]
+        basis.append(v)
+    return basis
+
 
 def reference_weight_decomposition(matrix):
     """The per-row support loop weight_decomposition ran before it read the
     weight spaces off the t-graded coefficient matrices, with the
-    independence check it carried."""
+    independence check it carried: each weight space is the kernel of the
+    equations A(t) v = t^mu v."""
     n = len(matrix)
     candidates = []
     for row in matrix:
@@ -219,6 +241,19 @@ class TestWeightDecompositionMatchesReference:
         for action in rank45_actions():
             got = _assert_matches_reference(_translated_linear_part(action))
             assert got is not NotDiagonalizable
+
+    @pytest.mark.parametrize("rank", [20, 40])
+    def test_high_rank_diagonal(self, rank):
+        got = _assert_matches_reference(linear_part(standard_action(rank).map))
+        assert got is not NotDiagonalizable
+
+    @pytest.mark.parametrize("rank", [8, 10])
+    def test_high_rank_generated(self, rank):
+        spec = CorpusSpec(rank=rank, seed=0, n_elementary=2,
+                          max_poly_degree=2, weight_bound=3)
+        action, _ = gen_action(spec)
+        got = _assert_matches_reference(_translated_linear_part(action))
+        assert got is not NotDiagonalizable
 
     @settings(max_examples=150, deadline=None)
     @given(conjugated_diagonal_matrices())
