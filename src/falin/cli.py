@@ -226,6 +226,10 @@ def run(argv=None) -> int:
     if not args.command:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
+    max_degree = getattr(args, "max_degree", None)
+    if max_degree is not None and max_degree < 1:
+        print(f"{args.command}: --max-degree must be at least 1", file=sys.stderr)
+        return 1
     try:
         return _COMMANDS[args.command](args)
     except ParseError as err:

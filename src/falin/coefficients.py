@@ -29,8 +29,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import VariableMismatch, ZeroTorusPoint
 
-Exponents = "tuple[int, ...]"
-
 
 def normalize_scalar(value):
     """Stored form of an exact rational: ``int`` if integral, else ``Fraction``."""
@@ -92,8 +90,8 @@ class LaurentPoly:
         return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff=1) -> "LaurentPoly":
-        return cls(nvars, {tuple(exps): coeff})
+    def monomial(cls, nvars: int, exps: Iterable[int]) -> "LaurentPoly":
+        return cls(nvars, {tuple(exps): 1})
 
     # -- structure ----------------------------------------------------
 

@@ -96,7 +96,7 @@ class GroundTruth:
 
 
 def gen_elementary(rank: int, rng: random.Random, max_poly_degree: int,
-                   target: Optional[int] = None):
+                   target: int):
     """One elementary automorphism and its inverse.
 
     The image of the target generator is z_target + p with p drawn over
@@ -104,8 +104,6 @@ def gen_elementary(rank: int, rng: random.Random, max_poly_degree: int,
     is affine).  The inverse z_target -> z_target - p is exact by
     construction; we assert the composition anyway.
     """
-    if target is None:
-        target = rng.randrange(1, rank + 1)
     others = [i for i in range(1, rank + 1) if i != target]
     terms = {}
     if not others:

@@ -72,10 +72,6 @@ class PolyMap:
     def degree(self) -> int:
         return max(img.degree() for img in self.images)
 
-    def apply(self, p: FreePoly) -> FreePoly:
-        """Image of a polynomial under this endomorphism."""
-        return f_substitute(p, self.images)
-
 
 def identity_map(rank: int, nvars: Optional[int] = None) -> PolyMap:
     return PolyMap([FreePoly.gen(rank, i, nvars) for i in range(1, rank + 1)])

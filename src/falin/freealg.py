@@ -223,10 +223,6 @@ class FreePoly:
             return FreePoly._raw(self.rank, nvars, out)
         return FreePoly(self.rank, out, nvars)
 
-    def map_coefficients(self, fn, nvars: Optional[int]) -> "FreePoly":
-        """Apply ``fn`` to every coefficient; result has kind ``nvars``."""
-        return FreePoly(self.rank, {w: fn(c) for w, c in self.terms.items()}, nvars)
-
 
 def f_mul(p: FreePoly, q: FreePoly, max_degree: Optional[int] = None) -> FreePoly:
     """Noncommutative product: bilinear extension of word concatenation.

@@ -6,7 +6,9 @@ Matrices are lists of lists of exact rationals, ``int`` or ``Fraction``.
 ever yields a float, and its results (and those of ``solve_particular``
 and ``inverse``, which are built on it) are ``Fraction`` throughout.  It is
 plain Gauss-Jordan elimination with no pivoting strategy beyond "first
-nonzero"; exact arithmetic needs no numerical pivoting.
+nonzero"; exact arithmetic needs no numerical pivoting.  ``rref`` takes
+rows of one width and reads it off the first row.  ``inverse`` raises ``SingularMatrix`` for a
+matrix that is not square as well as for a singular one.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ def identity(n: int) -> list:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def rref(rows, ncols=None):
+def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     m = [[Fraction(normalize_scalar(x)) for x in row] for row in rows]
     if not m:
         return [], []
-    ncols = len(m[0]) if ncols is None else ncols
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0])):
         pivot_row = None
         for i in range(r, len(m)):
             if m[i][c]:
@@ -57,7 +58,7 @@ def solve_particular(a, b):
         return [] if not any(b) else None
     ncols = len(a[0])
     aug = [row + [rhs] for row, rhs in zip(a, b)]
-    reduced, pivots = rref(aug, ncols + 1)
+    reduced, pivots = rref(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -68,9 +69,11 @@ def solve_particular(a, b):
 
 def inverse(a) -> list:
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise SingularMatrix("matrix is not square")
     aug = [list(row) + ident_row
            for row, ident_row in zip(a, identity(n))]
-    reduced, pivots = rref(aug, 2 * n)
+    reduced, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return [row[n:] for row in reduced]

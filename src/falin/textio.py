@@ -474,70 +474,50 @@ def _join_terms(pieces) -> str:
     return "".join(out)
 
 
+def _scaled(coeff, *factors):
+    """(negative, magnitude) of ``coeff`` times the nonempty ``factors``;
+    the magnitude shows only if it is not 1 or nothing else does."""
+    parts = [f for f in factors if f]
+    mag = abs(coeff)
+    if mag != 1 or not parts:
+        parts.insert(0, str(mag))
+    return coeff < 0, "*".join(parts)
+
+
 def laurent_str(p: LaurentPoly, tname=_default_tname) -> str:
     """Canonical textual form of a Laurent polynomial (no outer parens)."""
     if not p.terms:
         return "0"
-    pieces = []
-    for exps, coeff in p.sorted_terms():
-        negative = coeff < 0
-        mono = _monomial_str(exps, tname)
-        mag = abs(coeff)
-        if not mono:
-            pieces.append((negative, str(mag)))
-        elif mag == 1:
-            pieces.append((negative, mono))
-        else:
-            pieces.append((negative, f"{mag}*{mono}"))
-    return _join_terms(pieces)
+    return _join_terms(_scaled(coeff, _monomial_str(exps, tname))
+                       for exps, coeff in p.sorted_terms())
 
 
-def _term_parts(word, coeff, tname):
+def _term_parts(word, coeff):
     """(negative, magnitude) of one free term, per the canonical form."""
     word_text = _word_str(word)
     if not isinstance(coeff, LaurentPoly):
-        negative = coeff < 0
-        mag = abs(coeff)
-        if word_text and mag == 1:
-            return negative, word_text
-        if word_text:
-            return negative, f"{mag}*{word_text}"
-        return negative, str(mag)
+        return _scaled(coeff, word_text)
     unit = coeff.as_unit_monomial()
     if unit is not None:
         exps, q = unit
-        negative = q < 0
-        mono = _monomial_str(exps, tname)
-        parts = []
-        if abs(q) != 1 or not (mono or word_text):
-            parts.append(str(abs(q)))
-        if mono:
-            parts.append(mono)
-        if word_text:
-            parts.append(word_text)
-        return negative, "*".join(parts)
-    inner = laurent_str(coeff, tname)
+        return _scaled(q, _monomial_str(exps, _default_tname), word_text)
+    inner = laurent_str(coeff)
     mag = f"({inner})*{word_text}" if word_text else f"({inner})"
     return False, mag
 
 
-def poly_str(p: FreePoly, tname=_default_tname) -> str:
+def poly_str(p: FreePoly) -> str:
     """Canonical textual form of a free polynomial."""
     if not p.terms:
         return "0"
-    return _join_terms(_term_parts(w, c, tname) for w, c in p.sorted_terms())
+    return _join_terms(_term_parts(w, c) for w, c in p.sorted_terms())
 
 
-def _doc_kind(pm: PolyMap) -> str:
-    return "map" if pm.nvars is None else "action"
-
-
-def map_document(pm: PolyMap, kind: Optional[str] = None,
-                 tname=_default_tname) -> str:
-    kind = kind or _doc_kind(pm)
+def map_document(pm: PolyMap, kind: Optional[str] = None) -> str:
+    kind = kind or ("map" if pm.nvars is None else "action")
     lines = [f"rank {pm.rank}", kind]
     for i, img in enumerate(pm.images, start=1):
-        lines.append(f"z{i} -> {poly_str(img, tname)}")
+        lines.append(f"z{i} -> {poly_str(img)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -583,8 +563,7 @@ def emit_report(report: LinearizationReport) -> str:
         data["beta_inverse"] = {f"z{i}": poly_str(img)
                                 for i, img in enumerate(report.beta_inverse.images,
                                                         start=1)}
-        data["degree"] = report.degree
+    data["degree"] = report.degree
+    if report.effective:
         data["verified"] = report.verified
-    else:
-        data["degree"] = report.degree
     return json.dumps(data, separators=(",", ":"))

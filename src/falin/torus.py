@@ -20,16 +20,14 @@ written over 2n variables, t in slots 0..n-1 and s in slots n..2n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import linalg
 from .coefficients import LaurentPoly, normalize_scalar
 from .endo import PolyMap, constant_part, identity_map
 from .errors import (FixedPointNotFound, NotDiagonalizable, RankMismatch,
                      ZeroTorusPoint)
-from .freealg import FreePoly, f_substitute
-
-Word = Tuple[int, ...]
+from .freealg import FreePoly, Word, f_substitute
 
 
 class TorusAction:
@@ -145,7 +143,7 @@ def specialize(action: TorusAction, point: Sequence) -> PolyMap:
     if any(not x for x in point):
         raise ZeroTorusPoint("torus points have nonzero entries")
     return PolyMap([
-        img.map_coefficients(lambda c: c.eval(point), None)
+        FreePoly(img.rank, {w: c.eval(point) for w, c in img.terms.items()})
         for img in action.map.images])
 
 

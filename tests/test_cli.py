@@ -264,6 +264,20 @@ class TestUsageErrors:
         assert (captured.err.startswith("parse error: 3:")
                 and captured.err.count("\n") == 1)
 
+    @pytest.mark.parametrize("command, text", [
+        ("linearize", EX_A), ("invert", "rank 1\nmap\nz1 -> z1\nend\n")],
+        ids=["linearize", "invert"])
+    def test_max_degree_below_one_is_usage_error(self, command, text, tmp_path,
+                                                 capsys):
+        # once exit 2 with NotPolynomialInverseWithinBound, after linearize
+        # had checked the axioms
+        path = tmp_path / "doc.txt"
+        path.write_text(text)
+        assert run([command, str(path), "--max-degree", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command}: --max-degree must be at least 1\n"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

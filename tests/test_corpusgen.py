@@ -27,14 +27,14 @@ CORPUS_GENERATE_DIGEST = (
 class TestGenElementary:
     def test_inverse_stored_and_exact(self):
         rng = random.Random(0)
-        for _ in range(15):
-            fwd, back = gen_elementary(3, rng, 3)
+        for k in range(15):
+            fwd, back = gen_elementary(3, rng, 3, target=1 + k % 3)
             assert compose(back, fwd) == identity_map(3)
             assert compose(fwd, back) == identity_map(3)
 
     def test_rank_one_is_affine(self):
         rng = random.Random(1)
-        fwd, back = gen_elementary(1, rng, 3)
+        fwd, back = gen_elementary(1, rng, 3, target=1)
         assert fwd.degree() <= 1
         assert compose(back, fwd) == identity_map(1)
 

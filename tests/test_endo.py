@@ -24,7 +24,7 @@ def P(rank, terms, nvars=None):
 
 
 @pytest.mark.parametrize("make", [
-    lambda c: LaurentPoly.monomial(1, [1], c),
+    lambda c: LaurentPoly(1, {(1,): c}),
     lambda c: FreePoly(1, {(1,): c}),
     lambda c: PolyMap([FreePoly(1, {(1,): c})]),
 ], ids=["LaurentPoly", "FreePoly", "PolyMap"])
@@ -67,10 +67,6 @@ class TestCompose:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
             compose(identity_map(2), identity_map(3))
-
-    def test_apply_is_substitution(self):
-        f = PolyMap([P(2, {(2,): 1}), P(2, {(1,): 1})])  # swap
-        assert f.apply(P(2, {(1, 2): 1, (): 5})) == P(2, {(2, 1): 1, (): 5})
 
 
 @st.composite

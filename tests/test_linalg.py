@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from falin import linalg
+from falin.errors import SingularMatrix
 
 
 def all_fractions(rows):
@@ -18,3 +21,11 @@ class TestIntInput:
     def test_inverse(self):
         inverse = linalg.inverse([[2]])
         assert inverse == [[Fraction(1, 2)]] and all_fractions(inverse)
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2, 3]], [[1, 0], [0, 1], [1, 1]]],
+                         ids=["1x3", "3x2"])
+def test_inverse_rejects_non_square(matrix):
+    # each once returned a wrong "inverse" of the same shape as the input
+    with pytest.raises(SingularMatrix, match="not square"):
+        linalg.inverse(matrix)

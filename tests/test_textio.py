@@ -133,7 +133,7 @@ class TestParse:
         doc = parse(f"rank 1\naction\nz1 -> {numeral}*t1*z1 + (10)^{MAX_DIGITS - 1}"
                     f"\nend\n")
         image = doc.images()[0]
-        assert image.coeff((1,)) == LaurentPoly.monomial(1, (1,), int(numeral))
+        assert image.coeff((1,)) == LaurentPoly(1, {(1,): int(numeral)})
         assert render(doc) == (f"rank 1\naction\nz1 -> 1{'0' * (MAX_DIGITS - 1)}"
                                f" + {numeral}*t1*z1\nend\n")
 
@@ -289,7 +289,7 @@ def _inverse_powers(nvars):
             mono, value = "", c ** -k
         else:
             mono = "".join(f"*t{i}^{e}" for i, e in enumerate(exps, start=1))
-            value = LaurentPoly.monomial(RANK, [-k * e for e in exps], c ** -k)
+            value = LaurentPoly(RANK, {tuple(-k * e for e in exps): c ** -k})
         return _node(f"({c}{mono} + z{j} - z{j})^-{k}",
                      FreePoly.const(RANK, value, nvars), 2)
     return st.builds(build, st.sampled_from([-3, -2, -1, 1, 2, 5]),
@@ -409,6 +409,15 @@ class TestPrint:
         assert poly_str(poly) == "(t2 - t1^2)*z1^2"
         mono = FreePoly(2, {(1,): LaurentPoly(2, {(-1, 2): Fraction(5, 7)})}, 2)
         assert poly_str(mono) == "5/7*t1^-1*t2^2*z1"
+        for q, sign in ((1, ""), (-1, "-1*")):
+            unit = LaurentPoly(2, {(1, 0): q})
+            assert laurent_str(unit) == f"{sign}t1"
+            assert poly_str(FreePoly(2, {(1,): unit}, 2)) == f"{sign}t1*z1"
+            assert poly_str(FreePoly(2, {(): unit}, 2)) == f"{sign}t1"
+        three = LaurentPoly.const(2, 3)
+        assert laurent_str(three) == "3"
+        assert poly_str(FreePoly(2, {(): three}, 2)) == "3"
+        assert poly_str(FreePoly(2, {(): multi}, 2)) == "(t2 - t1^2)"
 
     def test_parse_print_round_trip_on_values(self):
         rng = random.Random(99)

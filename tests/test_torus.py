@@ -149,7 +149,7 @@ class TestWeightDecomposition:
 def kernel_basis(rows, ncols):
     """Basis of the right kernel, one vector per free column, with free
     variables set to 1 in increasing column order."""
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots = rref(rows)
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
@@ -223,8 +223,8 @@ def conjugated_diagonal_matrices(draw):
     matrix = [[sum((diagonal[k] * (p[i][k] * p_inv[k][j]) for k in range(n)),
                    LaurentPoly.zero(n)) for j in range(n)] for i in range(n)]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    bump = LaurentPoly.monomial(n, draw(st.sampled_from(m)),
-                                draw(st.sampled_from([-1, 1, Fraction(1, 2)])))
+    bump = LaurentPoly(n, {tuple(draw(st.sampled_from(m))):
+                           draw(st.sampled_from([-1, 1, Fraction(1, 2)]))})
     perturbed = [list(row) for row in matrix]
     perturbed[i][j] = perturbed[i][j] + bump
     return matrix, perturbed
