@@ -14,7 +14,10 @@ The defining property of beta is the conjugation identity
 
 equivalently tau(t) = beta^-1 o sigma(t) o beta.  The pipeline proves both
 inverse compositions and that identity exactly rather than trusting the
-construction.  Together they certify that sigma is an action, since it is
+construction.  With gamma = T_-c o P^-1 o beta, the identity is checked as
+sigma(t) = gamma o tau(t) o gamma^-1 one t-part at a time over scalar
+images, gamma^-1 built from the proven beta^-1, so no Laurent coefficient
+is multiplied.  Together they certify that sigma is an action, since it is
 then conjugate to tau, so the action axioms are checked only when that
 certificate is missing.  A report with verified=False is returned, never
 silently dropped; it indicates a bug.
@@ -30,7 +33,7 @@ from .coefficients import LaurentPoly
 from .endo import (PolyMap, compose, conjugate_by_translation, invert,
                    linear_map, linear_part, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
-from .freealg import FreePoly
+from .freealg import FreePoly, f_substitute
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
                     t_components, weight_decomposition)
 
@@ -91,9 +94,54 @@ def _weight_components(action: TorusAction, base_change, weights) -> PolyMap:
 
 
 def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
-    """Exact check of sigma(t) o beta = beta o tau(t)."""
+    """Exact check of sigma(t) o beta = beta o tau(t), without beta^-1.
+
+    Both sides are Laurent maps, so this multiplies Laurent coefficients.
+    The corpus generator uses it on the conjugator it built; the pipeline,
+    which holds a proven inverse, checks the same identity over scalar
+    images instead (_conjugates_tau).
+    """
     tau = build_tau(weights)
     return compose(action.map, beta) == compose(beta, tau.map)
+
+
+def _conjugates_tau(action: TorusAction, gamma: PolyMap,
+                    report: LinearizationReport) -> bool:
+    """Exact check of sigma(t) = gamma o tau(t) o gamma^-1, one t-part at a time.
+
+    gamma = T_-c o P^-1 o beta for the report's fixed point c, base change
+    P and beta.  invert proved beta o beta^-1 = beta^-1 o beta = id, and
+    P P^-1 = I exactly, so gamma^-1 = beta^-1 o P o T_c, with
+    gamma^-1(z_i) = sum_j P_ij beta^-1(z_j) + c_i, is a two-sided inverse.
+    Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
+    sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t) scales
+    a word w by t^{M(w)}, where M(w) sums the weight rows of its letters,
+    so the t^mu part of gamma(tau(t)(gamma^-1(z_i))) is gamma substituted
+    into the words of gamma^-1(z_i) of weight mu: the identity holds
+    exactly when those parts are the t-components of sigma(t)(z_i).  Every
+    substitution is scalar into scalar, sharing one prefix cache.
+    """
+    n = action.rank
+    cache = {}
+    for i, img in enumerate(action.map.images):
+        inverse = FreePoly.const(n, report.fixed_point[i])
+        for j, p in enumerate(report.base_change[i]):
+            if p:
+                inverse = inverse + report.beta_inverse.images[j].scale(p)
+        parts = {}
+        for word, c in inverse.terms.items():
+            mu = tuple(sum(report.weights[l - 1][k] for l in word)
+                       for k in range(n))
+            parts.setdefault(mu, {})[word] = c
+        got = {}
+        for mu, terms in parts.items():
+            part = f_substitute(FreePoly._raw(n, None, terms), gamma.images,
+                                _cache=cache)
+            if part:
+                got[mu] = part
+        if got != t_components(img):
+            return False
+    return True
 
 
 def _require_axioms(action: TorusAction) -> None:
@@ -107,6 +155,7 @@ def linearize(action: TorusAction,
               max_degree: Optional[int] = None) -> LinearizationReport:
     """Run the whole pipeline and return a fully verified report.
 
+    A ``max_degree`` below 1 raises ValueError before any stage runs.
     A verified report is its own proof that the input is an action.  When a
     stage fails, or the conjugation does not verify, the axioms are checked:
     a non-action raises AxiomsFail (with witness) whichever stage noticed.
@@ -119,6 +168,8 @@ def linearize(action: TorusAction,
     always admit the inverse within that bound, so the failure is surfaced
     loudly rather than retried.
     """
+    if max_degree is not None and max_degree < 1:
+        raise ValueError("degree bound must be at least 1")
     try:
         report = _pipeline(action, max_degree)
     except FalinError:
@@ -147,15 +198,16 @@ def _pipeline(action: TorusAction,
     beta = compose(linear_map(n, base_change), y)
     bound = action.degree if max_degree is None else max_degree
     beta_inverse = invert(beta, bound)  # also proves both compositions are id
-    # Verify against the original sparse action: with gamma folding the
-    # translation and base change into beta, sigma o gamma = gamma o tau is
-    # literally equivalent to the diagonalized-level conjugation identity,
-    # and substituting the original images is far cheaper than forming the
-    # dense diagonalized conjugate.  P^-1 o beta is y itself.
-    gamma = compose(translation_map(n, [-x for x in center]), y)
-    verified = verify_conjugation(action, gamma, weights)
-    return LinearizationReport(
+    report = LinearizationReport(
         rank=n, effective=True, fixed_point=tuple(center),
         base_change=base_change, weights=weights,
         beta=beta, beta_inverse=beta_inverse,
-        degree=bound, verified=verified)
+        degree=bound, verified=None)
+    # Verify against the original sparse action: with gamma folding the
+    # translation and base change into beta, the identity is literally
+    # equivalent to the diagonalized-level conjugation identity, and the
+    # original images are far cheaper than the dense diagonalized
+    # conjugate.  P^-1 o beta is y itself.
+    gamma = compose(translation_map(n, [-x for x in center]), y)
+    report.verified = _conjugates_tau(action, gamma, report)
+    return report

@@ -6,6 +6,7 @@ the printed lines always agree.  The timed criteria assert their stated
 wall-clock budgets.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -38,6 +39,10 @@ EX_A_REPORT = ('{"rank":2,"effective":true,"fixed_point":["0","0"],'
                '"beta_inverse":{"z1":"z1","z2":"z2 - z1^2"},'
                '"degree":2,"verified":true}')
 
+# SHA-256 of emit_report over the 100 corpus reports, in seed order
+CORPUS_REPORT_DIGEST = (
+    "440a70fc76e1af4b51f869d6a8f97634374d8c890164938ac17411d860b3a2ad")
+
 
 def corpus_spec(seed):
     return CorpusSpec(rank=1 + seed % 3,
@@ -63,11 +68,14 @@ def corpus100():
 def test_criterion_1_round_trip_linearization(corpus100):
     cases, elapsed = corpus100
     assert len(cases) == 100
+    digest = hashlib.sha256()
     for action, truth, report in cases:
         assert report.verified is True
         got = sorted(tuple(row) for row in report.weights)
         want = sorted(tuple(row) for row in truth.weights)
         assert got == want
+        digest.update(emit_report(report).encode())
+    assert digest.hexdigest() == CORPUS_REPORT_DIGEST
     assert elapsed < 120, f"round-trip corpus took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 round-trip linearization: PASS "
           f"(100/100 verified, weights match, {elapsed:.1f}s < 120s)")

@@ -1,5 +1,6 @@
 """The linearization pipeline on worked examples and constructed failures."""
 
+import dataclasses
 import hashlib
 import importlib
 import random
@@ -9,12 +10,14 @@ import pytest
 
 from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    LaurentPoly, NotEffective, NotPolynomialInverseWithinBound,
-                   PolyMap, TorusAction, build_tau, check_axioms,
+                   PolyMap, TorusAction, build_tau, check_axioms, compose,
                    conjugate_by_linear, conjugate_by_translation, constant_part,
                    emit_report, extract_beta, fixed_point, gen_action,
                    identity_map, linear_part, linearize, parse,
                    verify_conjugation, weight_decomposition)
+from falin import freealg, linalg
 from falin.corpusgen import conjugated_action
+from falin.endo import linear_map, translation_map
 from falin.errors import NotDiagonalizable
 
 from helpers import rank45_actions
@@ -34,10 +37,43 @@ end
 RANK45_REPORT_DIGEST = (
     "63e92c831cfe39ddfcb89a139b5e6b33f0a1bfd8b1afad35fc1a7c0daa772ef5")
 
+# SHA-256 of the reports of the shifted tier (shifted_actions), whose
+# fixed points are non-lattice rational points: gamma^-1 has constant terms
+SHIFTED_REPORT_DIGEST = (
+    "985b16447d3e2eb16c10cf5f9609d68836e68e472aa732cd0940bb9f16fcbcf7")
+
 
 @pytest.fixture
 def ex_a():
     return parse(EX_A).to_action()
+
+
+def shifted_actions():
+    """20 rank-2/3 corpus actions moved to rational fixed points.
+
+    The recipe of the benchmark's ``shifted`` tier: z -> f(z - shift) + shift.
+    """
+    actions = []
+    for i in range(20):
+        rank = 2 + i % 2
+        action, _ = gen_action(CorpusSpec(rank=rank, seed=i,
+                                          n_elementary=1 + (i // 2) % 2,
+                                          max_poly_degree=2, weight_bound=3))
+        rng = random.Random(i)
+        shift = [Fraction(rng.choice((-7, -6, -5, -4, -3, -2, -1,
+                                      1, 2, 3, 4, 5, 6, 7)),
+                          rng.randint(2, 5)) for _ in range(rank)]
+        actions.append(TorusAction(conjugate_by_translation(
+            action.map, [-c for c in shift])))
+    return actions
+
+
+def gamma_of(report):
+    """gamma = T_-c o P^-1 o beta, the conjugator the certificate checks."""
+    n = report.rank
+    return compose(translation_map(n, [-x for x in report.fixed_point]),
+                   compose(linear_map(n, linalg.inverse(report.base_change)),
+                           report.beta))
 
 
 def elementary_alpha():
@@ -218,6 +254,12 @@ class TestLinearize:
                 digest.update(emit_report(linearize(action)).encode())
         assert digest.hexdigest() == RANK45_REPORT_DIGEST
 
+    def test_shifted_report_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for action in shifted_actions():
+            digest.update(emit_report(linearize(action)).encode())
+        assert digest.hexdigest() == SHIFTED_REPORT_DIGEST
+
     def test_rank45_beta_inverse_coefficients_are_canonical(self):
         # int when integral, Fraction otherwise, as normalize_scalar stores
         # them; invert's corrections scale by linalg's Fractions
@@ -282,6 +324,68 @@ class TestCertificate:
         assert linearize(ex_a).verified
         assert linearize(moved).verified
         assert calls == []
+
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_is_rejected_before_any_stage(
+            self, ex_a, monkeypatch, bound):
+        module = importlib.import_module("falin.linearize")
+        calls = []
+        monkeypatch.setattr(module, "check_axioms", calls.append)
+        with pytest.raises(ValueError, match="at least 1"):
+            linearize(ex_a, max_degree=bound)
+        assert calls == []
+
+
+class TestScalarCertificate:
+    """The pipeline certifies sigma = gamma o tau o gamma^-1 over scalar images."""
+
+    def actions(self, ex_a):
+        translated, _ = gen_action(corpus_spec(5))  # rank 3
+        translated = TorusAction(conjugate_by_translation(
+            translated.map, [Fraction(1, 2), -2, Fraction(3, 4)]))
+        return [ex_a, translated, rank45_actions()[6]]  # rank 5, seed 0
+
+    def test_linearize_multiplies_no_laurent_coefficients(self, ex_a,
+                                                         monkeypatch):
+        actions = self.actions(ex_a)
+        seen = []
+        f_mul = freealg.f_mul
+
+        def spy(p, q, max_degree=None):
+            seen.append((p.nvars, q.nvars))
+            return f_mul(p, q, max_degree)
+
+        monkeypatch.setattr(freealg, "f_mul", spy)
+        for action in actions:
+            assert linearize(action).verified
+        assert seen and all(kinds == (None, None) for kinds in seen)
+
+    def test_agrees_with_verify_conjugation(self, ex_a):
+        conjugates_tau = importlib.import_module(
+            "falin.linearize")._conjugates_tau
+        actions = self.actions(ex_a) + shifted_actions()[:4]
+        for action in actions:
+            report = linearize(action)
+            gamma = gamma_of(report)
+            assert conjugates_tau(action, gamma, report)
+            assert verify_conjugation(action, gamma, report.weights)
+
+            first = action.map.images[0]
+            word = max(first.terms, key=lambda w: (len(w), w))
+            terms = dict(first.terms)
+            terms[word] = terms[word] + 1
+            bumped = TorusAction(PolyMap([
+                FreePoly(action.rank, terms, action.rank),
+                *action.map.images[1:]]))
+            assert not conjugates_tau(bumped, gamma, report)
+            assert not verify_conjugation(bumped, gamma, report.weights)
+
+            weights = [list(row) for row in report.weights]
+            weights[0], weights[1] = weights[1], weights[0]
+            swapped = dataclasses.replace(report, weights=weights)
+            assert not conjugates_tau(action, gamma, swapped)
+            assert not verify_conjugation(action, gamma, weights)
 
 
 class TestFixedPoint:
