@@ -15,8 +15,7 @@ from .endo import (PolyMap, compose, conjugate_by_linear, conjugate_by_translati
 from .errors import (AxiomsFail, DegreeBlowupExceeded, FalinError,
                      FixedPointNotFound, InternalInvariant, NotDiagonalizable,
                      NotEffective, NotPolynomialInverseWithinBound, ParseError,
-                     RankMismatch, SingularLinearPart, SingularMatrix,
-                     VariableMismatch, ZeroTorusPoint)
+                     RankMismatch, SingularMatrix, ZeroTorusPoint)
 from .freealg import (FreePoly, Word, abelianize, abelianized_representative,
                       f_mul, f_substitute)
 from .linearize import (LinearizationReport, build_tau, extract_beta, linearize,
@@ -33,13 +32,13 @@ __all__ = [
     "DegreeBlowupExceeded", "FalinError", "FixedPointNotFound", "FreePoly",
     "GroundTruth", "InternalInvariant", "LaurentPoly", "LinearizationReport",
     "NotDiagonalizable", "NotEffective", "NotPolynomialInverseWithinBound",
-    "ParseError", "PolyMap", "RankMismatch", "SingularLinearPart",
-    "SingularMatrix", "TorusAction", "VariableMismatch", "Word",
-    "ZeroTorusPoint", "abelianize", "abelianized_representative", "build_tau",
-    "check_axioms", "compose", "conjugate_by_linear", "conjugate_by_translation",
-    "conjugated_action", "constant_part", "emit_report", "extract_beta",
-    "f_mul", "f_substitute", "fixed_point", "gen_action", "gen_elementary",
-    "identity_map", "invert", "is_effective", "laurent_str", "linear_part",
-    "linearize", "map_document", "parse", "poly_str", "render", "specialize",
-    "verify_conjugation", "weight_decomposition",
+    "ParseError", "PolyMap", "RankMismatch", "SingularMatrix", "TorusAction",
+    "Word", "ZeroTorusPoint", "abelianize", "abelianized_representative",
+    "build_tau", "check_axioms", "compose", "conjugate_by_linear",
+    "conjugate_by_translation", "conjugated_action", "constant_part",
+    "emit_report", "extract_beta", "f_mul", "f_substitute", "fixed_point",
+    "gen_action", "gen_elementary", "identity_map", "invert", "is_effective",
+    "laurent_str", "linear_part", "linearize", "map_document", "parse",
+    "poly_str", "render", "specialize", "verify_conjugation",
+    "weight_decomposition",
 ]

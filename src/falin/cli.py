@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or I/O error (including parse errors),
 2 mathematical failure (axioms fail, not effective, verification false,
-no inverse within the bound), 3 broken internal invariant.  Data goes to
+singular matrix or linear part, no inverse within the bound), 3 broken
+internal invariant.  Data goes to
 stdout, diagnostics to stderr, so shell harnesses can assert each stream
 and code independently.
 """
@@ -18,15 +19,14 @@ from .endo import PolyMap, compose, invert
 from .errors import (AxiomsFail, DegreeBlowupExceeded, FalinError,
                      FixedPointNotFound, InternalInvariant, NotDiagonalizable,
                      NotEffective, NotPolynomialInverseWithinBound, ParseError,
-                     SingularLinearPart, SingularMatrix)
+                     SingularMatrix)
 from .freealg import abelianized_representative
 from .linearize import linearize
 from .textio import emit_report, laurent_str, map_document, parse, render, _word_str
 from .torus import check_axioms
 
-_MATH_ERRORS = (FixedPointNotFound, NotDiagonalizable, SingularLinearPart,
-                SingularMatrix, NotPolynomialInverseWithinBound,
-                DegreeBlowupExceeded)
+_MATH_ERRORS = (FixedPointNotFound, NotDiagonalizable, SingularMatrix,
+                NotPolynomialInverseWithinBound, DegreeBlowupExceeded)
 
 
 class _ArgumentError(Exception):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import VariableMismatch, ZeroTorusPoint
+from .errors import RankMismatch, ZeroTorusPoint
 
 
 def normalize_scalar(value):
@@ -52,7 +52,7 @@ class LaurentPoly:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != nvars:
-                    raise VariableMismatch(
+                    raise RankMismatch(
                         f"exponent vector {exps} has length {len(exps)}, "
                         f"expected {nvars}")
                 coeff = normalize_scalar(coeff)
@@ -84,7 +84,7 @@ class LaurentPoly:
     def var(cls, nvars: int, index: int, power: int = 1) -> "LaurentPoly":
         """The monomial t_index^power; ``index`` is 1-based."""
         if not 1 <= index <= nvars:
-            raise VariableMismatch(f"t{index} out of range for {nvars} variables")
+            raise RankMismatch(f"t{index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index - 1] = power
         return cls(nvars, {tuple(exps): 1})
@@ -133,7 +133,7 @@ class LaurentPoly:
 
     def _check(self, other: "LaurentPoly"):
         if self.nvars != other.nvars:
-            raise VariableMismatch(
+            raise RankMismatch(
                 f"operands over {self.nvars} and {other.nvars} torus variables")
 
     def __add__(self, other):
@@ -223,7 +223,7 @@ class LaurentPoly:
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a torus point (all entries nonzero)."""
         if len(point) != self.nvars:
-            raise VariableMismatch(
+            raise RankMismatch(
                 f"point of length {len(point)} for {self.nvars} variables")
         # Fraction entries, so that negative exponents divide exactly
         values = [Fraction(normalize_scalar(x)) for x in point]

@@ -19,6 +19,9 @@ the integers, and each output term is divided once.  Scaling by nonzero
 constants changes no support and the arithmetic is exact, so the result is
 the same normalized map as a substitution over the rationals would give,
 without a gcd in every term product.
+
+``invert`` takes scalar maps only, as beta and every map document are, and
+raises ``SingularMatrix`` for a singular linear part.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .coefficients import LaurentPoly, normalize_scalar
-from .errors import (NotPolynomialInverseWithinBound, RankMismatch,
-                     SingularLinearPart, SingularMatrix)
+from .coefficients import normalize_scalar
+from .errors import NotPolynomialInverseWithinBound, RankMismatch
 from .freealg import EMPTY_WORD, FreePoly, f_substitute, merge_nvars
 
 
@@ -73,8 +75,8 @@ class PolyMap:
         return max(img.degree() for img in self.images)
 
 
-def identity_map(rank: int, nvars: Optional[int] = None) -> PolyMap:
-    return PolyMap([FreePoly.gen(rank, i, nvars) for i in range(1, rank + 1)])
+def identity_map(rank: int) -> PolyMap:
+    return PolyMap([FreePoly.gen(rank, i) for i in range(1, rank + 1)])
 
 
 def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
@@ -144,32 +146,16 @@ def constant_part(f: PolyMap) -> list:
     return [img.constant_coeff() for img in f.images]
 
 
-def scalar_linear_part(f: PolyMap) -> list:
-    """Linear part as a matrix of exact scalars (scalar maps only)."""
-    rows = linear_part(f)
-    out = []
-    for row in rows:
-        new_row = []
-        for entry in row:
-            if isinstance(entry, LaurentPoly):
-                unit = entry.as_unit_monomial()
-                if entry and (unit is None or any(unit[0])):
-                    raise SingularLinearPart(
-                        "inversion requires a linear part over the scalars")
-                new_row.append(entry.constant_coeff())
-            else:
-                new_row.append(entry)
-        out.append(new_row)
-    return out
-
-
 def _homogeneous_part(p: FreePoly, k: int) -> FreePoly:
     return FreePoly._raw(p.rank, p.nvars,
                          {w: c for w, c in p.terms.items() if len(w) == k})
 
 
 def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
-    """Two-sided inverse of an automorphism, found degree by degree.
+    """Two-sided inverse of an automorphism over the scalars, degree by degree.
+
+    A map with Laurent coefficients raises ``RankMismatch`` before any work,
+    and a singular linear part raises ``linalg.inverse``'s ``SingularMatrix``.
 
     Works in the degree-truncated power-series completion: starting from
     the inverse of the linear part, each pass cancels the lowest remaining
@@ -184,22 +170,15 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     ``max_degree`` defaults to the degree of f itself; the linearization
     pipeline passes the degree of the action, which bounds that of beta^-1.
     """
+    if f.nvars is not None:
+        raise RankMismatch("invert takes a map with scalar coefficients")
     if max_degree is None:
         max_degree = max(f.degree(), 1)
     if max_degree < 1:
         raise NotPolynomialInverseWithinBound("degree bound must be at least 1")
-    matrix = scalar_linear_part(f)
-    try:
-        inv_matrix = linalg.inverse(matrix)
-    except SingularMatrix:
-        raise SingularLinearPart("linear part is singular") from None
-    ident = identity_map(f.rank, f.nvars)
-    # h starts as the inverse linear map z_i -> sum_j inv_matrix[i][j] z_j
-    h = PolyMap([
-        FreePoly(f.rank,
-                 {(j,): inv_matrix[i][j - 1] for j in range(1, f.rank + 1)},
-                 f.nvars)
-        for i in range(f.rank)])
+    inv_matrix = linalg.inverse(linear_part(f))  # raises SingularMatrix
+    ident = identity_map(f.rank)
+    h = linear_map(f.rank, inv_matrix)
     error = None  # compose(h, f) truncated at max_degree, for the current h
     for k in range(2, max_degree + 1):
         # compose(h, f)_i = f_i(h(z)); perturbing h by a homogeneous c of
@@ -212,13 +191,13 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
             continue
         images = []
         for i in range(f.rank):
-            correction = FreePoly.zero(f.rank, f.nvars)
+            correction = FreePoly.zero(f.rank)
             for j in range(f.rank):
                 if inv_matrix[i][j] and bad[j]:
                     correction = correction + bad[j].scale(inv_matrix[i][j])
             images.append(h.images[i] - correction)
         # the constructor stores the integral Fractions of the scaling as int
-        h = PolyMap([FreePoly(f.rank, img.terms, f.nvars) for img in images])
+        h = PolyMap([FreePoly(f.rank, img.terms) for img in images])
         error = None
     if error is None or h.degree() * f.degree() > max_degree:
         error = compose(h, f)
@@ -240,8 +219,7 @@ def conjugate_by_translation(f: PolyMap, c: Sequence) -> PolyMap:
     c = [normalize_scalar(x) for x in c]
     if not any(c):
         return f
-    shifted = [FreePoly.gen(f.rank, j) + FreePoly.const(f.rank, c[j - 1])
-               for j in range(1, f.rank + 1)]
+    shifted = translation_map(f.rank, c).images
     images = []
     for i, img in enumerate(f.images):
         moved = f_substitute(img, shifted)

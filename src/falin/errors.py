@@ -12,20 +12,12 @@ class FalinError(Exception):
     """Base class for all package errors."""
 
 
-class VariableMismatch(FalinError):
-    """Laurent operands disagree on the number of torus variables."""
-
-
 class RankMismatch(FalinError):
-    """Free-algebra operands disagree on rank or coefficient kind."""
+    """Operands disagree on rank, torus-variable count or coefficient kind."""
 
 
 class ZeroTorusPoint(FalinError):
     """An evaluation point had a zero entry (not a torus element)."""
-
-
-class SingularLinearPart(FalinError):
-    """The linear part of a map is not invertible."""
 
 
 class SingularMatrix(FalinError):

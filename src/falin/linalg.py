@@ -7,8 +7,9 @@ ever yields a float, and its results (and those of ``solve_particular``
 and ``inverse``, which are built on it) are ``Fraction`` throughout.  It is
 plain Gauss-Jordan elimination with no pivoting strategy beyond "first
 nonzero"; exact arithmetic needs no numerical pivoting.  ``rref`` takes
-rows of one width and reads it off the first row.  ``inverse`` raises ``SingularMatrix`` for a
-matrix that is not square as well as for a singular one.
+rows of one width and reads it off the first row.  ``inverse`` raises
+``SingularMatrix`` for a matrix that is not square as well as for a
+singular one.
 """
 
 from __future__ import annotations

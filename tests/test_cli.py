@@ -122,6 +122,9 @@ class TestInvertComposeAbelianize:
         path = tmp_path / "m.map"
         path.write_text("rank 2\nmap\nz1 -> z1\nz2 -> z1\nend\n")
         assert run(["invert", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "SingularMatrix: matrix is singular\n"
 
     def test_invert_nonpolynomial_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.map"

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
-                   SingularLinearPart, SingularMatrix,
-                   NotPolynomialInverseWithinBound, compose,
+                   SingularMatrix, NotPolynomialInverseWithinBound, compose,
                    conjugate_by_linear, conjugate_by_translation,
-                   constant_part, identity_map, invert, linear_part)
+                   build_tau, constant_part, identity_map, invert, linear_part)
 from falin import endo, freealg
-from falin.endo import scalar_linear_part
 from falin.freealg import f_substitute
 
 from helpers import rand_scalar_map
@@ -54,7 +52,7 @@ class TestCompose:
         g = PolyMap([P(2, {(1,): 2}), P(2, {(2,): 1})])
         gf = compose(g, f)
         assert gf.images[0] == P(2, {(1,): 2, (2,): 1})
-        assert scalar_linear_part(gf) == [[2, 1], [0, 1]]
+        assert linear_part(gf) == [[2, 1], [0, 1]]
 
     def test_associative(self):
         rng = random.Random(6)
@@ -110,7 +108,7 @@ class TestComposeRational:
 
 class TestParts:
     def test_linear_part_identity(self):
-        assert scalar_linear_part(identity_map(3)) == \
+        assert linear_part(identity_map(3)) == \
             [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_linear_part_of_diagonal_action(self):
@@ -123,7 +121,7 @@ class TestParts:
 
     def test_linear_part_reads_length_one_words(self):
         f = PolyMap([P(2, {(2,): 1, (1, 1): 1}), P(2, {(1,): 1})])
-        assert scalar_linear_part(f) == [[0, 1], [1, 0]]
+        assert linear_part(f) == [[0, 1], [1, 0]]
 
     def test_constant_part(self):
         f = PolyMap([P(2, {(1,): 1, (): 1}), P(2, {(2,): 1})])
@@ -149,8 +147,25 @@ class TestInvert:
         assert compose(f, h) == identity_map(2)
 
     def test_singular_linear_part(self):
-        with pytest.raises(SingularLinearPart):
+        with pytest.raises(SingularMatrix):
             invert(PolyMap([P(2, {(1,): 1}), P(2, {(1,): 1})]), 3)
+
+    def test_laurent_map_rejected_before_any_composition(self, monkeypatch):
+        calls = []
+
+        def spy(g, f, max_degree=None):
+            calls.append((g, f))
+            return compose(g, f, max_degree)
+
+        monkeypatch.setattr(endo, "compose", spy)
+        laurent_maps = [
+            build_tau([[1, 0], [0, 1]]).map,  # z_i -> t_i*z_i
+            PolyMap([P(1, {(1,): 1, (1, 1): LaurentPoly.var(1, 1)}, 1)]),
+        ]
+        for f in laurent_maps:
+            with pytest.raises(RankMismatch):
+                invert(f)
+        assert calls == []
 
     def test_no_polynomial_inverse_within_bound(self):
         f = PolyMap([P(1, {(1,): 1, (1, 1): 1})])
@@ -283,7 +298,7 @@ class TestConjugateByLinear:
     def test_permutation_permutes_diagonal(self):
         f = PolyMap([P(2, {(1,): 3}), P(2, {(2,): 5})])
         conj = conjugate_by_linear(f, [[0, 1], [1, 0]])
-        assert scalar_linear_part(conj) == [[5, 0], [0, 3]]
+        assert linear_part(conj) == [[5, 0], [0, 3]]
 
     def test_inverse_conjugation_round_trip(self):
         rng = random.Random(12)
@@ -308,8 +323,8 @@ class TestLinearPartOrderLaw:
         for _ in range(25):
             f = rand_scalar_map(rng, 2)
             g = rand_scalar_map(rng, 2)
-            a_f = scalar_linear_part(f)
-            a_g = scalar_linear_part(g)
+            a_f = linear_part(f)
+            a_g = linear_part(g)
             product = [[sum(a_f[i][k] * a_g[k][j] for k in range(2))
                         for j in range(2)] for i in range(2)]
-            assert scalar_linear_part(compose(g, f)) == product
+            assert linear_part(compose(g, f)) == product

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falin import (AxiomVerdict, FreePoly, LaurentPoly, NotDiagonalizable,
-                   PolyMap, TorusAction, ZeroTorusPoint, check_axioms, compose,
-                   conjugate_by_translation, fixed_point, identity_map,
-                   is_effective, linear_part, parse, specialize,
-                   weight_decomposition)
+                   PolyMap, RankMismatch, TorusAction, ZeroTorusPoint,
+                   build_tau, check_axioms, compose, conjugate_by_translation,
+                   fixed_point, identity_map, is_effective, linear_part, parse,
+                   specialize, weight_decomposition)
 from falin.corpusgen import CorpusSpec, gen_action
 from falin.linalg import inverse, rref
 from falin.torus import t_components, translated_constant_part
@@ -92,6 +92,18 @@ class TestSpecialize:
     def test_zero_entry_rejected(self, ex_a):
         with pytest.raises(ZeroTorusPoint):
             specialize(ex_a, [1, 0])
+
+    def test_torus_variable_count_mismatch_is_one_error(self):
+        # the same condition raises the same class from every module
+        cases = [
+            lambda: LaurentPoly.one(2) + LaurentPoly.one(3),
+            lambda: FreePoly.const(1, 1, 2) + FreePoly.const(1, 1, 3),
+            lambda: LaurentPoly.one(2).eval([1]),
+            lambda: specialize(build_tau([[1, 0], [0, 1]]), [1]),
+        ]
+        for case in cases:
+            with pytest.raises(RankMismatch):
+                case()
 
 
 class TestLinearMatrix:
