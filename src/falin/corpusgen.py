@@ -4,11 +4,16 @@ Every generated action has the form sigma = alpha o tau_M o alpha^-1 where
 tau_M is the diagonal action of an integer weight matrix M and alpha is a
 composition of elementary automorphisms (z_i -> z_i + p with p free of
 z_i, so the inverse is explicit) and one invertible integer linear map.
+sigma is built one t-part at a time: tau_M scales each word w of
+alpha^-1(z_i) by t^{M(w)}, so the t^mu part of sigma(z_i) is alpha's scalar
+images substituted into the words of weight mu.  Distinct t-parts never
+cancel, so a build stops at the first word that takes sigma past the
+degree or term cap, and rejects exactly the actions a finished build would.
 The generator keeps alpha's exact inverse alongside, verifies the
 conjugation identity before handing the action out, and redraws - still
-deterministically - whenever a composition blows past the degree or size
-caps.  Identical CorpusSpec values therefore produce identical actions,
-byte for byte once printed.
+deterministically - whenever a build blows past the degree or size caps.
+Identical CorpusSpec values therefore produce identical actions, byte for
+byte once printed.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import linalg
+from .coefficients import LaurentPoly
 from .endo import PolyMap, compose, identity_map, linear_map
 from .errors import DegreeBlowupExceeded, InternalInvariant
 from .freealg import FreePoly
-from .linearize import build_tau, verify_conjugation
+from .linearize import _tau_conjugate_parts, build_tau, verify_conjugation
 from .torus import TorusAction, is_effective
 
 _MAX_REDRAWS = 96
@@ -143,34 +149,56 @@ def _random_unimodular(rank: int, rng: random.Random):
     return m
 
 
+def _over_cap(cap: int) -> DegreeBlowupExceeded:
+    # names the caps, not the map's size: a build that stops early never
+    # learns its final degree and term count
+    return DegreeBlowupExceeded(
+        f"map exceeds the corpus cap (degree {cap}, {_TERM_CAP} terms)")
+
+
 def _check_size(pm: PolyMap, cap: int):
-    degree = max(img.degree() for img in pm.images)
     size = sum(len(img.terms) for img in pm.images)
-    if degree > cap or size > _TERM_CAP:
-        raise DegreeBlowupExceeded(
-            f"degree {degree} / {size} terms exceeds the corpus cap")
+    if pm.degree() > cap or size > _TERM_CAP:
+        raise _over_cap(cap)
 
 
 def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
                       degree_cap: int = 12):
     """sigma = alpha o tau_M o alpha^-1, verified against its ground truth.
 
-    Composition is associative, so sigma is built as
-    compose(alpha, compose(tau, alpha^-1)).  Its outer step substitutes
-    alpha's scalar images, so every prefix product along a word keeps
-    integer coefficients; compose(compose(alpha, tau), alpha^-1) would carry
-    a Laurent coefficient on each.  The caps reject exactly what they
-    rejected in that order: alpha o tau scales each image of alpha by a
-    unit t-monomial, so it has alpha's term counts and degrees, and every
-    guard on it is run on alpha instead, in the same order.
+    sigma(z_i) is assembled from the t-parts of alpha(tau(t)(alpha^-1(z_i)))
+    (linearize._tau_conjugate_parts), every one a substitution of alpha's
+    scalar images sharing one prefix cache, so no Laurent coefficient is
+    multiplied.  A word that appears in one part stays in sigma, since
+    distinct t-parts never cancel, so the build stops as soon as its
+    running term count passes the term cap or a new word is longer than
+    ``degree_cap``: it rejects exactly what _check_size on the finished map
+    would, with the same message.  The caps run in the order of
+    compose(compose(alpha, tau), alpha^-1): alpha o tau scales each image of
+    alpha by a unit t-monomial, so it has alpha's term counts and degrees,
+    and every guard on it is run on alpha instead.
     """
     tau = build_tau(weights)
     _prefilter(alpha, tau.map, degree_cap)
     _check_size(alpha, degree_cap)  # the size of alpha o tau
     _prefilter(alpha, alpha_inverse, degree_cap)
-    sigma_map = compose(alpha, compose(tau.map, alpha_inverse))
-    _check_size(sigma_map, degree_cap)
-    action = TorusAction(sigma_map)
+    n = alpha.rank
+    cache = {}
+    size = 0
+    images = []
+    for inverse in alpha_inverse.images:
+        out = {}
+        for mu, part in _tau_conjugate_parts(alpha, inverse, weights, cache):
+            for word, c in part.terms.items():
+                coeff = out.get(word)
+                if coeff is None:
+                    size += 1
+                    if size > _TERM_CAP or len(word) > degree_cap:
+                        raise _over_cap(degree_cap)
+                    coeff = out[word] = LaurentPoly(n)
+                coeff.terms[mu] = c
+        images.append(FreePoly._raw(n, n, out))
+    action = TorusAction(PolyMap(images))
     if substitution_cost(action.map, action.map) > _COST_CAP:
         raise DegreeBlowupExceeded("action too expensive to check against itself")
     if substitution_cost(action.map, alpha) > _COST_CAP:

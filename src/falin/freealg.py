@@ -17,8 +17,9 @@ rational automorphism composes with a torus action without any explicit
 embedding step.  Canonical form stores no zero coefficients and, for the
 laurent kind, only ``LaurentPoly`` values, so ``==`` is structural.
 
-Substituting a Laurent polynomial into scalar images (every conjugation the
-corpus generator forms) sums plain scalars per t-exponent and builds each
+Substituting a Laurent polynomial into scalar images (what
+``conjugate_by_translation`` does to an action, and ``compose(beta, tau)`` in
+``verify_conjugation``) sums plain scalars per t-exponent and builds each
 output ``LaurentPoly`` once.  Other kind combinations add coefficients term
 by term: per-exponent sums measured slower there on linearization (a scalar
 polynomial under Laurent images) and no faster inside ``f_mul``.

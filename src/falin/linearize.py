@@ -114,11 +114,9 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     P P^-1 = I exactly, so gamma^-1 = beta^-1 o P o T_c, with
     gamma^-1(z_i) = sum_j P_ij beta^-1(z_j) + c_i, is a two-sided inverse.
     Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
-    sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t) scales
-    a word w by t^{M(w)}, where M(w) sums the weight rows of its letters,
-    so the t^mu part of gamma(tau(t)(gamma^-1(z_i))) is gamma substituted
-    into the words of gamma^-1(z_i) of weight mu: the identity holds
-    exactly when those parts are the t-components of sigma(t)(z_i).  Every
+    sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  It holds
+    exactly when the t-parts of gamma(tau(t)(gamma^-1(z_i))) are the
+    t-components of sigma(t)(z_i) (_tau_conjugate_parts).  Every
     substitution is scalar into scalar, sharing one prefix cache.
     """
     n = action.rank
@@ -128,20 +126,32 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
         for j, p in enumerate(report.base_change[i]):
             if p:
                 inverse = inverse + report.beta_inverse.images[j].scale(p)
-        parts = {}
-        for word, c in inverse.terms.items():
-            mu = tuple(sum(report.weights[l - 1][k] for l in word)
-                       for k in range(n))
-            parts.setdefault(mu, {})[word] = c
-        got = {}
-        for mu, terms in parts.items():
-            part = f_substitute(FreePoly._raw(n, None, terms), gamma.images,
-                                _cache=cache)
-            if part:
-                got[mu] = part
+        got = dict(_tau_conjugate_parts(gamma, inverse, report.weights, cache))
         if got != t_components(img):
             return False
     return True
+
+
+def _tau_conjugate_parts(gamma: PolyMap, poly: FreePoly, weights, cache: dict):
+    """Yield (mu, part) for the nonzero t^mu parts of gamma(tau(t)(poly)).
+
+    gamma and poly are scalar.  tau(t) scales a word w of poly by t^{M(w)},
+    where M(w) sums the weight rows of its letters, so the t^mu part is
+    gamma substituted into the words of poly of weight mu.  Distinct parts
+    never cancel, and each is substituted only when the caller asks for it,
+    so a caller can stop between parts.  ``cache`` holds gamma's prefix
+    products and may be shared across calls with the same gamma.
+    """
+    n = gamma.rank
+    parts = {}
+    for word, c in poly.terms.items():
+        mu = tuple(sum(weights[l - 1][k] for l in word) for k in range(n))
+        parts.setdefault(mu, {})[word] = c
+    for mu, terms in parts.items():
+        part = f_substitute(FreePoly._raw(n, None, terms), gamma.images,
+                            _cache=cache)
+        if part:
+            yield mu, part
 
 
 def _require_axioms(action: TorusAction) -> None:

@@ -191,6 +191,17 @@ class TestGenerate:
         assert captured.err.count("\n") == 1 and flag in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_redraws_exhausted_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--rank", "3", "--seed", "0", "--elementary", "6",
+                "--degree", "4"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("DegreeBlowupExceeded: map exceeds the corpus "
+                                "cap (degree 12, 400 terms)\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

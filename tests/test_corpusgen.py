@@ -5,12 +5,15 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
                    compose, identity_map, map_document, render,
                    verify_conjugation)
-from falin.corpusgen import (CorpusSpec, _compose_guarded, conjugated_action,
-                             gen_action, gen_elementary)
+from falin.corpusgen import (_COST_CAP, CorpusSpec, _check_size,
+                             _compose_guarded, _prefilter, conjugated_action,
+                             gen_action, gen_elementary, substitution_cost)
 from falin.linearize import build_tau
 
 from helpers import det
@@ -22,6 +25,51 @@ from test_acceptance import corpus_spec
 # Fraction; generated bytes must depend on neither choice.
 CORPUS_GENERATE_DIGEST = (
     "cc47fa7c9b00264e9590c228111e1b045dd62b07ba6e7a51b7ca5a6827c20272")
+
+# SHA-256 over action, alpha, alpha^-1 and weights for the rank-4/5 specs with
+# seeds 0-5 and the 20 specs behind the shifted benchmark tier, computed by
+# the code before sigma was built one t-part at a time, when it was
+# compose(alpha, compose(tau, alpha^-1)) checked for size once finished.
+BEYOND_CORPUS_DIGEST = (
+    "94a7ae6c30191b359fdf003535f5057e8e274718688a9c2c19238837b079cd71")
+
+
+def composed_elementary(rank, seed, factors):
+    """alpha and alpha^-1 composed from gen_elementary factors (degree, target)."""
+    rng = random.Random(seed)
+    alpha = alpha_inv = identity_map(rank)
+    for degree, target in factors:
+        fwd, back = gen_elementary(rank, rng, degree, target)
+        alpha = compose(fwd, alpha)
+        alpha_inv = compose(alpha_inv, back)
+    return alpha, alpha_inv
+
+
+@st.composite
+def conjugations(draw):
+    """(rank, seed, factors, weights, cap) for composed_elementary."""
+    rank = draw(st.integers(1, 3))
+    factor = st.tuples(st.integers(1, 3), st.integers(1, rank))
+    row = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    return (rank, draw(st.integers(0, 2 ** 32)),
+            draw(st.lists(factor, max_size=4)),
+            draw(st.lists(row, min_size=rank, max_size=rank)),
+            draw(st.integers(2, 8)))
+
+
+def reference_conjugated_action(alpha, alpha_inv, weights, cap):
+    """conjugated_action's guards around the finished compose it replaced."""
+    tau = build_tau(weights).map
+    _prefilter(alpha, tau, cap)
+    _check_size(alpha, cap)
+    _prefilter(alpha, alpha_inv, cap)
+    sigma = compose(alpha, compose(tau, alpha_inv))
+    _check_size(sigma, cap)
+    if substitution_cost(sigma, sigma) > _COST_CAP:
+        raise DegreeBlowupExceeded("action too expensive to check against itself")
+    if substitution_cost(sigma, alpha) > _COST_CAP:
+        raise DegreeBlowupExceeded("ground-truth verification too expensive")
+    return sigma
 
 
 class TestGenElementary:
@@ -86,6 +134,24 @@ class TestConjugatedAction:
             _compose_guarded(scaled, alpha_inv, cap)
         assert str(new.value) == str(old.value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(conjugations())
+    # 1,003 terms at degree 8: only the term cap trips
+    @example((2, 54, [(3, 2), (2, 2), (2, 1), (2, 2)], [[1, 2], [0, -2]], 8))
+    def test_early_stop_rejects_exactly_what_the_finished_map_would(self, case):
+        rank, seed, factors, weights, cap = case
+        alpha, alpha_inv = composed_elementary(rank, seed, factors)
+        try:
+            expected = reference_conjugated_action(alpha, alpha_inv, weights,
+                                                   cap)
+        except DegreeBlowupExceeded as err:
+            with pytest.raises(DegreeBlowupExceeded) as got:
+                conjugated_action(alpha, alpha_inv, weights, cap)
+            assert str(got.value) == str(err)
+        else:
+            action = conjugated_action(alpha, alpha_inv, weights, cap)
+            assert action.map == expected
+
 
 class TestGenAction:
     def test_reproducible(self):
@@ -135,6 +201,23 @@ class TestGenAction:
                     + json.dumps(truth.weights, separators=(",", ":")) + "\n")
             digest.update(text.encode())
         assert digest.hexdigest() == CORPUS_GENERATE_DIGEST
+
+    def test_generation_beyond_the_corpus_pinned(self):
+        specs = [CorpusSpec(rank=rank, seed=seed, n_elementary=rank,
+                            max_poly_degree=2, weight_bound=3)
+                 for rank in (4, 5) for seed in range(6)]
+        specs += [CorpusSpec(rank=2 + i % 2, seed=i,
+                             n_elementary=1 + (i // 2) % 2,
+                             max_poly_degree=2, weight_bound=3)
+                  for i in range(20)]
+        digest = hashlib.sha256()
+        for spec in specs:
+            action, truth = gen_action(spec)
+            text = (render(action) + map_document(truth.alpha)
+                    + map_document(truth.alpha_inverse)
+                    + json.dumps(truth.weights, separators=(",", ":")) + "\n")
+            digest.update(text.encode())
+        assert digest.hexdigest() == BEYOND_CORPUS_DIGEST
 
     def test_no_linear_factor(self):
         spec = CorpusSpec(rank=2, seed=5, n_elementary=0, max_poly_degree=2,
