@@ -20,8 +20,9 @@ constants changes no support and the arithmetic is exact, so the result is
 the same normalized map as a substitution over the rationals would give,
 without a gcd in every term product.
 
-``invert`` takes scalar maps only, as beta and every map document are, and
-raises ``SingularMatrix`` for a singular linear part.
+``invert`` takes scalar maps only, as beta and every map document are,
+raises ``SingularMatrix`` for a singular linear part, and removes a
+constant part by a translation before inverting the rest.
 """
 
 from __future__ import annotations
@@ -157,15 +158,18 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     A map with Laurent coefficients raises ``RankMismatch`` before any work,
     and a singular linear part raises ``linalg.inverse``'s ``SingularMatrix``.
 
-    Works in the degree-truncated power-series completion: starting from
-    the inverse of the linear part, each pass cancels the lowest remaining
-    error of compose(h, f).  That residual is formed once per correction,
-    truncated at ``max_degree``, which keeps every part of degree up to the
-    bound exact.  If after ``max_degree`` passes the residual is still
-    nonzero, f has no polynomial inverse within the bound.  The returned map
-    satisfies compose(h, f) = compose(f, h) = identity exactly (verified, not
-    assumed); the last residual stands in for compose(h, f) only when no
-    product in it can have been cut.
+    A constant part b is removed by a translation first: with f = f0 + b,
+    f^-1(z) = f0^-1(z - b), so the inverse of f0 is composed with
+    translation_map(n, -b).  f0 is inverted in the degree-truncated
+    power-series completion: starting from the inverse of the linear part,
+    each pass cancels the lowest remaining error of compose(h, f0).  That
+    residual is formed once per correction, truncated at ``max_degree``,
+    which keeps every part of degree up to the bound exact.  If after
+    ``max_degree`` passes the residual is still nonzero, f has no polynomial
+    inverse within the bound.  The returned map satisfies compose(h, f) =
+    compose(f, h) = identity exactly (verified on f itself, not assumed);
+    the last residual stands in for compose(h, f) only when f has no
+    constant part and no product in it can have been cut.
 
     ``max_degree`` defaults to the degree of f itself; the linearization
     pipeline passes the degree of the action, which bounds that of beta^-1.
@@ -177,17 +181,20 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     if max_degree < 1:
         raise NotPolynomialInverseWithinBound("degree bound must be at least 1")
     inv_matrix = linalg.inverse(linear_part(f))  # raises SingularMatrix
+    b = constant_part(f)
+    f0 = f if not any(b) else PolyMap([
+        img - FreePoly.const(f.rank, x) for img, x in zip(f.images, b)])
     ident = identity_map(f.rank)
     h = linear_map(f.rank, inv_matrix)
-    error = None  # compose(h, f) truncated at max_degree, for the current h
+    error = None  # compose(h, f0) truncated at max_degree, for the current h
     for k in range(2, max_degree + 1):
-        # compose(h, f)_i = f_i(h(z)); perturbing h by a homogeneous c of
+        # compose(h, f0)_i = f0_i(h(z)); perturbing h by a homogeneous c of
         # degree k changes that by -A c + O(k+1), so c = A^-1 * (error part)
         if error is None:
-            error = compose(h, f, max_degree=max_degree)
+            error = compose(h, f0, max_degree=max_degree)
         bad = [_homogeneous_part(error.images[i] - ident.images[i], k)
                for i in range(f.rank)]
-        if all(not b for b in bad):
+        if not any(bad):
             continue
         images = []
         for i in range(f.rank):
@@ -198,6 +205,9 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
             images.append(h.images[i] - correction)
         # the constructor stores the integral Fractions of the scaling as int
         h = PolyMap([FreePoly(f.rank, img.terms) for img in images])
+        error = None
+    if any(b):
+        h = compose(translation_map(f.rank, [-x for x in b]), h)
         error = None
     if error is None or h.degree() * f.degree() > max_degree:
         error = compose(h, f)
@@ -211,20 +221,18 @@ def conjugate_by_translation(f: PolyMap, c: Sequence) -> PolyMap:
     """Conjugate by the translation z_i -> z_i + c_i.
 
     Post-condition: if c is fixed by the abelianized map induced by f, the
-    result has zero constant part.  Concretely the i-th image becomes
-    f_i(z_1 + c_1, ..., z_n + c_n) - c_i.
+    result has zero constant part.  Concretely it forms
+    compose(translation_map(n, c), f), whose i-th image is
+    f_i(z_1 + c_1, ..., z_n + c_n), and subtracts c_i from image i.
     """
     if len(c) != f.rank:
         raise RankMismatch(f"translation of length {len(c)} for rank {f.rank}")
     c = [normalize_scalar(x) for x in c]
     if not any(c):
         return f
-    shifted = translation_map(f.rank, c).images
-    images = []
-    for i, img in enumerate(f.images):
-        moved = f_substitute(img, shifted)
-        images.append(moved - FreePoly.const(f.rank, c[i], moved.nvars))
-    return PolyMap(images)
+    moved = compose(translation_map(f.rank, c), f)
+    return PolyMap([img - FreePoly.const(f.rank, x, img.nvars)
+                    for img, x in zip(moved.images, c)])
 
 
 def linear_map(rank: int, matrix) -> PolyMap:

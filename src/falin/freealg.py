@@ -17,12 +17,8 @@ rational automorphism composes with a torus action without any explicit
 embedding step.  Canonical form stores no zero coefficients and, for the
 laurent kind, only ``LaurentPoly`` values, so ``==`` is structural.
 
-Substituting a Laurent polynomial into scalar images (what
-``conjugate_by_translation`` does to an action, and ``compose(beta, tau)`` in
-``verify_conjugation``) sums plain scalars per t-exponent and builds each
-output ``LaurentPoly`` once.  Other kind combinations add coefficients term
-by term: per-exponent sums measured slower there on linearization (a scalar
-polynomial under Laurent images) and no faster inside ``f_mul``.
+``f_substitute`` runs one accumulation loop for every kind combination:
+each term adds its coefficient times the image of its word, term by term.
 
 Display order everywhere is graded lexicographic on words (length first,
 then letters, z1 < z2 < ...); that order also defines which witness a
@@ -263,10 +259,6 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     same images share that cache.  ``max_degree`` truncates every
     intermediate product, which is sound for reading off the part of the
     result of degree <= max_degree.
-
-    A Laurent ``p`` under scalar images sums each term c*t^e times the prefix
-    product into a {word: scalar} part for e, then builds each output
-    coefficient once, skipping exact zeros; other kinds add ``coeff * c2``.
     """
     if len(images) != p.rank:
         raise RankMismatch(f"{len(images)} images for rank {p.rank}")
@@ -283,8 +275,6 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     cache = _cache if _cache is not None else {}
     if EMPTY_WORD not in cache:
         cache[EMPTY_WORD] = FreePoly.const(rank, 1, None)
-    parts = ({} if p.nvars is not None
-             and all(img.nvars is None for img in images) else None)
     out: Dict[Word, object] = {}
     for word, coeff in sorted(p.terms.items()):
         prod = cache.get(word)
@@ -298,12 +288,6 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
                 k += 1
                 prod = f_mul(prod, images[letter - 1], max_degree)
                 cache[word[:k]] = prod
-        if parts is not None:
-            for e, c in coeff.terms.items():
-                part = parts.setdefault(e, {})
-                for w2, c2 in prod.terms.items():
-                    part[w2] = part.get(w2, 0) + c * c2
-            continue
         for w2, c2 in prod.terms.items():
             value = coeff * c2
             prev = out.get(w2)
@@ -312,18 +296,6 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
                 out[w2] = acc
             elif w2 in out:
                 del out[w2]
-    if parts is not None:
-        # prefix products are scalar, so the parts are all of out; popping
-        # them as they are consumed keeps parts and out from peaking together
-        while parts:
-            e, part = parts.popitem()
-            for w2, c in part.items():
-                if c:
-                    acc = out.get(w2)
-                    if acc is None:
-                        acc = out[w2] = LaurentPoly(nvars)
-                    acc.terms[e] = c
-        return FreePoly._raw(rank, nvars, out)
     # only a scalar p under Laurent images can mix kinds (its empty word
     # meets the scalar empty product); otherwise every value has the kind
     if nvars == p.nvars:

@@ -110,13 +110,27 @@ class TestCheck:
         assert run(["check", str(path)]) == 1
 
 
+EX_A_BETA = "rank 2\nmap\nz1 -> z1\nz2 -> z2 + z1^2\nend\n"
+SHIFTED_MAP = "rank 2\nmap\nz1 -> z1 + 1/2\nz2 -> z2 + z1^2\nend\n"
+
+
 class TestInvertComposeAbelianize:
-    def test_invert(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, inverse", [
+        (EX_A_BETA, "rank 2\nmap\nz1 -> z1\nz2 -> z2 - z1^2\nend\n"),
+        # a constant part is removed by a translation first
+        ("rank 1\nmap\nz1 -> 2*z1 + 1\nend\n",
+         "rank 1\nmap\nz1 -> -1/2 + 1/2*z1\nend\n"),
+        (SHIFTED_MAP,
+         "rank 2\nmap\nz1 -> -1/2 + z1\nz2 -> -1/4 + z1 + z2 - z1^2\nend\n"),
+        # the alpha of generate --rank 1 --seed 0 is its own inverse
+        ("rank 1\nmap\nz1 -> -1 - z1\nend\n",
+         "rank 1\nmap\nz1 -> -1 - z1\nend\n"),
+    ], ids=["quadratic", "affine-rank-1", "affine-quadratic", "generated-rank-1"])
+    def test_invert(self, tmp_path, capsys, doc, inverse):
         path = tmp_path / "m.map"
-        path.write_text("rank 2\nmap\nz1 -> z1\nz2 -> z2 + z1^2\nend\n")
+        path.write_text(doc)
         assert run(["invert", str(path)]) == 0
-        assert capsys.readouterr().out == \
-            "rank 2\nmap\nz1 -> z1\nz2 -> z2 - z1^2\nend\n"
+        assert capsys.readouterr().out == inverse
 
     def test_invert_singular_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.map"
@@ -131,14 +145,23 @@ class TestInvertComposeAbelianize:
         path.write_text("rank 1\nmap\nz1 -> z1 + z1^2\nend\n")
         assert run(["invert", str(path)]) == 2
 
-    def test_compose_left_after_right(self, tmp_path, capsys):
+    @pytest.mark.parametrize("left_doc, right_doc, composed", [
+        (EX_A_BETA, "rank 2\nmap\nz1 -> z1\nz2 -> z2 - z1^2\nend\n",
+         "rank 2\nmap\nz1 -> z1\nz2 -> z2\nend\n"),
+        # a map with a rational constant part after EX_A
+        (SHIFTED_MAP, EX_A,
+         "rank 2\naction\nz1 -> 1/2*t1 + t1*z1\n"
+         "z2 -> (1/4*t2 - 1/4*t1^2) + (t2 - t1^2)*z1 + t2*z2"
+         " + (2*t2 - t1^2)*z1^2\nend\n"),
+    ], ids=["map-after-map", "map-after-action"])
+    def test_compose_left_after_right(self, tmp_path, capsys, left_doc,
+                                      right_doc, composed):
         left = tmp_path / "left.map"
-        left.write_text("rank 2\nmap\nz1 -> z1\nz2 -> z2 + z1^2\nend\n")
+        left.write_text(left_doc)
         right = tmp_path / "right.map"
-        right.write_text("rank 2\nmap\nz1 -> z1\nz2 -> z2 - z1^2\nend\n")
+        right.write_text(right_doc)
         assert run(["compose", str(left), str(right)]) == 0
-        assert capsys.readouterr().out == \
-            "rank 2\nmap\nz1 -> z1\nz2 -> z2\nend\n"
+        assert capsys.readouterr().out == composed
 
     def test_compose_rank_mismatch_exits_1(self, tmp_path, capsys):
         a = tmp_path / "a.map"

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
                    SingularMatrix, NotPolynomialInverseWithinBound, compose,
                    conjugate_by_linear, conjugate_by_translation,
-                   build_tau, constant_part, identity_map, invert, linear_part)
+                   build_tau, constant_part, gen_action, identity_map, invert,
+                   linear_part)
 from falin import endo, freealg
+from falin.endo import translation_map
 from falin.freealg import f_substitute
 
-from helpers import rand_scalar_map
+from helpers import rand_fraction, rand_scalar_map
+from test_acceptance import corpus_spec
 
 
 def P(rank, terms, nvars=None):
@@ -238,9 +241,22 @@ class TestInvert:
             e1 = PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1}) + P(2, p_terms)])
             shear = PolyMap([P(2, {(1,): 1, (2,): 3}), P(2, {(2,): 1})])
             f = compose(e1, shear)
+            f = PolyMap([img + rand_fraction(rng) for img in f.images])
             h = invert(f, 6)
             assert compose(h, f) == ident
             assert compose(f, h) == ident
+
+    def test_translated_generated_alphas_invert_exactly(self):
+        # (alpha + b)^-1 = alpha^-1 o (z - b), read off the generator's inverse
+        rng = random.Random(10)
+        for seed in range(30):
+            _, truth = gen_action(corpus_spec(seed))
+            alpha = truth.alpha
+            b = [rand_fraction(rng) for _ in range(alpha.rank)]
+            f = PolyMap([img + x for img, x in zip(alpha.images, b)])
+            h = invert(f, truth.alpha_inverse.degree())
+            back = translation_map(alpha.rank, [-x for x in b])
+            assert h == compose(back, truth.alpha_inverse)
 
 
 class TestConjugateByTranslation:
@@ -260,12 +276,15 @@ class TestConjugateByTranslation:
 
     def test_round_trip(self):
         rng = random.Random(8)
-        for _ in range(10):
-            f = rand_scalar_map(rng, 2)
-            c = [Fraction(rng.randrange(-3, 4)) for _ in range(2)]
-            back = conjugate_by_translation(
-                conjugate_by_translation(f, c), [-x for x in c])
-            assert back == f
+        scalar = [rand_scalar_map(rng, 2) for _ in range(10)]
+        laurent = [gen_action(corpus_spec(seed))[0].map for seed in range(12)]
+        for f in scalar + laurent:
+            for c in ([Fraction(rng.randrange(-3, 4)) for _ in range(f.rank)],
+                      [rand_fraction(rng) for _ in range(f.rank)]):
+                moved = conjugate_by_translation(f, c)
+                assert moved.nvars == f.nvars
+                back = conjugate_by_translation(moved, [-x for x in c])
+                assert back == f
 
     def test_float_translation_rejected(self):
         # Fraction(0.1) would be exact but not 1/10

@@ -453,6 +453,21 @@ class TestGradedCheckMatchesReference:
                 assert not verdict.ok
                 assert verdict == reference_check_axioms(mutated)
 
+    def test_compatible_actions_failing_identity(self):
+        # alpha^-1 o D(t) o alpha with D(t) a diagonal action whose last image
+        # is 0: compatible, and sigma(1) is a projection; at seeds 5 and 8
+        # some words carry several t-components
+        for seed in (1, 2, 4, 5, 7, 8):
+            _, truth = gen_action(corpus_spec(seed))
+            n = truth.alpha.rank
+            tau = build_tau(truth.weights).map
+            d = PolyMap(tau.images[:-1] + (FreePoly.zero(n, n),))
+            action = TorusAction(compose(truth.alpha_inverse,
+                                         compose(d, truth.alpha)))
+            verdict = check_axioms(action)
+            assert not verdict.ok and verdict.axiom == "identity"
+            assert verdict == reference_check_axioms(action)
+
     @pytest.mark.parametrize("image", HAND_CASES)
     def test_hand_cases(self, image):
         action = _hand_action(image)
