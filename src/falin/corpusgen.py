@@ -27,7 +27,7 @@ from .coefficients import LaurentPoly
 from .endo import PolyMap, compose, identity_map, linear_map
 from .errors import DegreeBlowupExceeded, InternalInvariant
 from .freealg import FreePoly
-from .linearize import _tau_conjugate_parts, build_tau, verify_conjugation
+from .linearize import _tau_conjugate_parts, verify_conjugation
 from .torus import TorusAction, is_effective
 
 _MAX_REDRAWS = 96
@@ -178,8 +178,6 @@ def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
     alpha by a unit t-monomial, so it has alpha's term counts and degrees,
     and every guard on it is run on alpha instead.
     """
-    tau = build_tau(weights)
-    _prefilter(alpha, tau.map, degree_cap)
     _check_size(alpha, degree_cap)  # the size of alpha o tau
     _prefilter(alpha, alpha_inverse, degree_cap)
     n = alpha.rank

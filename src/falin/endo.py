@@ -98,8 +98,7 @@ def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap
             and not all(type(c) is int for m in (g, f) for img in m.images
                         for c in img.terms.values())):
         return _compose_cleared(g, f, max_degree)
-    cache = {}
-    return PolyMap([f_substitute(img, g.images, max_degree, _cache=cache)
+    return PolyMap([f_substitute(img, g.images, max_degree)
                     for img in f.images])
 
 
@@ -109,7 +108,6 @@ def _compose_cleared(g: PolyMap, f: PolyMap,
     # int has numerator and denominator too, so one expression serves both
     scales = []
     images = []
-    cache = {}
     for img in g.images:
         d = lcm(*[c.denominator for c in img.terms.values()])
         scales.append(d)
@@ -128,7 +126,7 @@ def _compose_cleared(g: PolyMap, f: PolyMap,
         cleared = FreePoly._raw(img.rank, None, {
             w: c.numerator * (common // c.denominator)
             for w, c in absorbed.items()})
-        result = f_substitute(cleared, images, max_degree, _cache=cache)
+        result = f_substitute(cleared, images, max_degree)
         if common != 1:
             result = FreePoly._raw(result.rank, None, {
                 w: normalize_scalar(Fraction(c, common))

@@ -17,8 +17,19 @@ rational automorphism composes with a torus action without any explicit
 embedding step.  Canonical form stores no zero coefficients and, for the
 laurent kind, only ``LaurentPoly`` values, so ``==`` is structural.
 
-``f_substitute`` runs one accumulation loop for every kind combination:
-each term adds its coefficient times the image of its word, term by term.
+``f_substitute`` evaluates in Horner form: grouping the words by their
+first letter, p = c + sum_j z_j q_j, it returns c + sum_j g_j q_j(g), so
+sums of suffixes cancel before they are multiplied.  ``compose`` and the
+axiom check substitute each polynomial once and take this form.  A caller
+that substitutes many small polynomials into the same images passes one
+shared ``_cache`` instead, which keeps the product of the images along
+every word prefix across calls.  Only ``linearize._tau_conjugate_parts``
+does: it splits each polynomial into small weight parts (for the
+certificate and for the generator's early-stop build) whose words share
+prefixes across parts and polynomials, and evaluating each part on its own
+would multiply those prefixes again.  A Laurent polynomial under scalar
+images is evaluated one t-part at a time, so only scalars are multiplied.
+``f_mul`` and every evaluation share one product loop over raw term maps.
 
 Display order everywhere is graded lexicographic on words (length first,
 then letters, z1 < z2 < ...); that order also defines which witness a
@@ -221,6 +232,31 @@ class FreePoly:
         return FreePoly(self.rank, out, nvars)
 
 
+def _mul_into(out: Dict[Word, object], a_terms, b_terms,
+              max_degree: Optional[int]) -> None:
+    """Add the product of the term maps ``a_terms`` and ``b_terms`` into ``out``.
+
+    Words longer than ``max_degree`` (if not None) are dropped; zero sums
+    are deleted, so canonical inputs leave ``out`` canonical.
+    """
+    get = out.get
+    b_items = b_terms.items()
+    for w1, c1 in a_terms.items():
+        if max_degree is not None:
+            room = max_degree - len(w1)
+            b_items = [item for item in b_terms.items() if len(item[0]) <= room]
+        for w2, c2 in b_items:
+            word = w1 + w2
+            acc = c1 * c2
+            prev = get(word)
+            if prev is not None:
+                acc = prev + acc
+            if acc:
+                out[word] = acc
+            elif prev is not None:
+                del out[word]
+
+
 def f_mul(p: FreePoly, q: FreePoly, max_degree: Optional[int] = None) -> FreePoly:
     """Noncommutative product: bilinear extension of word concatenation.
 
@@ -229,22 +265,63 @@ def f_mul(p: FreePoly, q: FreePoly, max_degree: Optional[int] = None) -> FreePol
     """
     nvars = p._join(q)
     out: Dict[Word, object] = {}
-    for w1, c1 in p.terms.items():
-        n1 = len(w1)
-        for w2, c2 in q.terms.items():
-            if max_degree is not None and n1 + len(w2) > max_degree:
-                continue
-            word = w1 + w2
-            prod = c1 * c2
-            prev = out.get(word)
-            acc = prod if prev is None else prev + prod
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
+    _mul_into(out, p.terms, q.terms, max_degree)
     if nvars == p.nvars == q.nvars:
         return FreePoly._raw(p.rank, nvars, out)
     return FreePoly(p.rank, out, nvars)
+
+
+def _horner(terms, words, depth: int, images, max_degree: Optional[int]):
+    """Raw terms of sum terms[w] * g(w[depth:]) over the w in ``words``.
+
+    Every word in ``words`` has the same first ``depth`` letters, so at
+    most one of them ends there; the rest are grouped by their next letter
+    j and contribute g_j times the evaluation of their suffixes.
+    """
+    out: Dict[Word, object] = {}
+    groups = {}
+    for word in words:
+        if len(word) == depth:
+            out[EMPTY_WORD] = terms[word]
+        else:
+            groups.setdefault(word[depth], []).append(word)
+    for letter, group in groups.items():
+        inner = _horner(terms, group, depth + 1, images, max_degree)
+        if inner:
+            _mul_into(out, images[letter - 1].terms, inner, max_degree)
+    return out
+
+
+def t_components(poly: FreePoly) -> dict:
+    """Split a Laurent-coefficient polynomial into its t-graded parts.
+
+    Returns {m: g_m} with poly = sum_m t^m g_m and each g_m a scalar
+    polynomial, in one pass over the terms.
+    """
+    parts = {}
+    for word, coeff in poly.terms.items():
+        for m, c in coeff.terms.items():
+            parts.setdefault(m, {})[word] = c
+    return {m: FreePoly._raw(poly.rank, None, terms)
+            for m, terms in parts.items()}
+
+
+def _horner_by_t(p: FreePoly, images, max_degree: Optional[int]):
+    """Raw terms of p(images) for Laurent ``p`` and scalar images.
+
+    With p = sum_m t^m p_m and every p_m scalar, p(g) = sum_m t^m p_m(g):
+    each t-part is evaluated in Horner form over scalars, so no Laurent
+    coefficient enters a product, and distinct t-parts never cancel.
+    """
+    out: Dict[Word, LaurentPoly] = {}
+    for m, part in t_components(p).items():
+        terms = part.terms
+        for word, c in _horner(terms, terms, 0, images, max_degree).items():
+            coeff = out.get(word)
+            if coeff is None:
+                coeff = out[word] = LaurentPoly(p.nvars)
+            coeff.terms[m] = normalize_scalar(c)
+    return out
 
 
 def f_substitute(p: FreePoly, images: Sequence[FreePoly],
@@ -252,13 +329,20 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
                  _cache: Optional[Dict[Word, FreePoly]] = None) -> FreePoly:
     """Algebra-homomorphism image of ``p`` under z_j -> images[j-1].
 
-    Each word is replaced by the product of the images of its letters;
-    coefficients multiply through (they are central).  Products along a
-    word are cached by prefix so that words sharing prefixes share work;
-    ``_cache`` lets a caller substituting several polynomials into the
-    same images share that cache.  ``max_degree`` truncates every
-    intermediate product, which is sound for reading off the part of the
-    result of degree <= max_degree.
+    Coefficients multiply through (they are central).  Without ``_cache``
+    the words of ``p`` are evaluated in Horner form: p = c + sum_j z_j q_j
+    gives p(g) = c + sum_j g_j q_j(g), each q_j(g) evaluated the same way,
+    so the suffix sums of words sharing a prefix are formed (and cancel)
+    before they are multiplied by that prefix's images.  A Laurent ``p``
+    under scalar images is split into its t-parts first, so that every
+    product is scalar.  With ``_cache`` each word is replaced by the
+    product of the images of its letters, cached by prefix.  Pass one dict
+    to every call only when substituting many small polynomials into the
+    same images, as linearize's t-part helper does: the products of shared
+    prefixes are then formed once across calls, which Horner form cannot
+    do.  ``max_degree`` truncates every product at that word length; word
+    lengths never fall in a product, so the result is exact in every
+    degree <= max_degree.
     """
     if len(images) != p.rank:
         raise RankMismatch(f"{len(images)} images for rank {p.rank}")
@@ -272,7 +356,22 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
             raise RankMismatch("substitution images have differing ranks")
     if rank is None:
         rank = p.rank
-    cache = _cache if _cache is not None else {}
+    if _cache is not None:
+        out = _prefix_products(p, images, rank, max_degree, _cache)
+    elif p.nvars is not None and all(img.nvars is None for img in images):
+        out = _horner_by_t(p, images, max_degree)
+    else:
+        out = _horner(p.terms, p.terms, 0, images, max_degree)
+    # only a scalar p under Laurent images can mix kinds (its constant
+    # term stays scalar); otherwise every value has the kind
+    if nvars == p.nvars:
+        return FreePoly._raw(rank, nvars, out)
+    return FreePoly(rank, out, nvars)
+
+
+def _prefix_products(p: FreePoly, images, rank: int,
+                     max_degree: Optional[int], cache: Dict[Word, FreePoly]):
+    """Raw terms of p(images), each word's image product cached by prefix."""
     if EMPTY_WORD not in cache:
         cache[EMPTY_WORD] = FreePoly.const(rank, 1, None)
     out: Dict[Word, object] = {}
@@ -288,19 +387,8 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
                 k += 1
                 prod = f_mul(prod, images[letter - 1], max_degree)
                 cache[word[:k]] = prod
-        for w2, c2 in prod.terms.items():
-            value = coeff * c2
-            prev = out.get(w2)
-            acc = value if prev is None else prev + value
-            if acc:
-                out[w2] = acc
-            elif w2 in out:
-                del out[w2]
-    # only a scalar p under Laurent images can mix kinds (its empty word
-    # meets the scalar empty product); otherwise every value has the kind
-    if nvars == p.nvars:
-        return FreePoly._raw(rank, nvars, out)
-    return FreePoly(rank, out, nvars)
+        _mul_into(out, {EMPTY_WORD: coeff}, prod.terms, None)
+    return out
 
 
 def abelianize(p: FreePoly) -> LaurentPoly:

@@ -33,9 +33,9 @@ from .coefficients import LaurentPoly
 from .endo import (PolyMap, compose, conjugate_by_translation, invert,
                    linear_map, linear_part, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
-from .freealg import FreePoly, f_substitute
+from .freealg import FreePoly, f_substitute, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
-                    t_components, weight_decomposition)
+                    weight_decomposition)
 
 
 @dataclass

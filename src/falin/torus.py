@@ -27,7 +27,7 @@ from .coefficients import LaurentPoly, normalize_scalar
 from .endo import PolyMap, constant_part
 from .errors import (FixedPointNotFound, NotDiagonalizable, RankMismatch,
                      ZeroTorusPoint)
-from .freealg import FreePoly, Word, f_substitute
+from .freealg import FreePoly, Word, f_substitute, t_components
 
 
 class TorusAction:
@@ -81,20 +81,6 @@ def _first_difference(got: FreePoly, expected: FreePoly):
     return None
 
 
-def t_components(poly: FreePoly) -> dict:
-    """Split a Laurent-coefficient polynomial into its t-graded parts.
-
-    Returns {m: g_m} with poly = sum_m t^m g_m and each g_m a scalar
-    polynomial, in one pass over the terms.
-    """
-    parts = {}
-    for word, coeff in poly.terms.items():
-        for m, c in coeff.terms.items():
-            parts.setdefault(m, {})[word] = c
-    return {m: FreePoly._raw(poly.rank, None, terms)
-            for m, terms in parts.items()}
-
-
 def check_axioms(action: TorusAction) -> AxiomVerdict:
     """Verify the action axioms symbolically.
 
@@ -110,13 +96,12 @@ def check_axioms(action: TorusAction) -> AxiomVerdict:
     """
     n = action.rank
     images = action.map.images
-    cache = {}
     at_one = []  # sigma(1)(z_i) = sum_m g_{i,m}
     for i, img in enumerate(images):
         sides = []
         total = {}
         for m, g in t_components(img).items():
-            got = f_substitute(g, images, _cache=cache)
+            got = f_substitute(g, images)
             sides.append((m, g, got, g.scale(LaurentPoly.monomial(n, m))))
             for word, c in g.terms.items():
                 total[word] = total.get(word, 0) + c

@@ -60,7 +60,6 @@ def conjugations(draw):
 def reference_conjugated_action(alpha, alpha_inv, weights, cap):
     """conjugated_action's guards around the finished compose it replaced."""
     tau = build_tau(weights).map
-    _prefilter(alpha, tau, cap)
     _check_size(alpha, cap)
     _prefilter(alpha, alpha_inv, cap)
     sigma = compose(alpha, compose(tau, alpha_inv))

@@ -215,14 +215,15 @@ class TestInvert:
 
     def test_rational_map_composes_over_the_integers(self, monkeypatch):
         seen = []
-        f_mul = freealg.f_mul
+        mul_into = freealg._mul_into
 
-        def spy(p, q, max_degree=None):
-            seen.extend(p.terms.values())
-            seen.extend(q.terms.values())
-            return f_mul(p, q, max_degree)
+        def spy(out, a_terms, b_terms, max_degree):
+            seen.extend(a_terms.values())
+            seen.extend(b_terms.values())
+            return mul_into(out, a_terms, b_terms, max_degree)
 
-        monkeypatch.setattr(freealg, "f_mul", spy)
+        # every product, f_mul's and f_substitute's alike, runs this loop
+        monkeypatch.setattr(freealg, "_mul_into", spy)
         f = PolyMap([P(2, {(1,): Fraction(1, 2)}),
                      P(2, {(2,): 1, (1, 1): Fraction(2, 3)})])
         h = invert(f, 2)

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falin import (FreePoly, LaurentPoly, RankMismatch, abelianize,
                    abelianized_representative, f_mul, f_substitute)
+from falin.freealg import merge_nvars
 
 from helpers import rand_scalar_poly
 
@@ -180,6 +181,78 @@ class TestLaurentUnderScalarImages:
         assert out == FreePoly(2, {(1,): self.t2}, 2)
         assert out.terms[(1,)].terms == {(0, 1): 1}
         assert_canonical(out, 2)
+
+
+def substitute_by_word_products(p, images, max_degree=None):
+    """Independent reference: each word's image is a left fold of f_mul."""
+    nvars = p.nvars
+    for img in images:
+        nvars = merge_nvars(nvars, img.nvars)
+    rank = images[0].rank
+    out = FreePoly.zero(rank, nvars)
+    for word, coeff in p.terms.items():
+        prod = FreePoly.const(rank, 1)
+        for letter in word:
+            prod = f_mul(prod, images[letter - 1], max_degree)
+        out = out + prod.scale(coeff)
+    return out
+
+
+def assert_stored_form(poly, nvars):
+    """Right kind, no zero coefficients, Laurent values of the right size."""
+    assert poly.nvars == nvars
+    for coeff in poly.terms.values():
+        assert coeff
+        if nvars is None:
+            assert isinstance(coeff, (int, Fraction))
+        else:
+            assert isinstance(coeff, LaurentPoly) and coeff.nvars == nvars
+
+
+def with_constants(polys, consts):
+    """Add a constant term to each polynomial (none where it is zero)."""
+    return st.tuples(polys, consts).map(lambda pc: pc[0] + pc[1])
+
+
+class TestHornerMatchesWordProducts:
+    """f_substitute's Horner evaluation against products along each word."""
+
+    scalar = with_constants(scalar_polys(), st.fractions(-2, 2, max_denominator=3))
+    laurent = with_constants(laurent_polys(), laurent_coeffs())
+    bounds = st.one_of(st.none(), st.integers(0, 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(scalar, laurent),
+           st.lists(st.one_of(scalar, laurent), min_size=2, max_size=2),
+           bounds)
+    @example(P(2, {(1, 2): 1, (2, 1, 1): -3}),
+             [P(2, {(2, 2): 1, (1,): 2}), P(2, {(1,): 1, (): Fraction(1, 2)})],
+             None)
+    def test_matches_reference(self, p, images, max_degree):
+        got = f_substitute(p, images, max_degree)
+        assert got == substitute_by_word_products(p, images, max_degree)
+        nvars = merge_nvars(merge_nvars(p.nvars, images[0].nvars),
+                            images[1].nvars)
+        assert_stored_form(got, nvars)
+        if max_degree is not None:
+            assert got.degree() <= max_degree
+
+    g = z1 + z2 + FreePoly.const(2, Fraction(1, 2))
+    t1 = FreePoly.const(2, LaurentPoly.var(2, 1), 2)
+
+    @pytest.mark.parametrize("images", [
+        [g, g], [f_mul(t1, g), f_mul(t1, g)]], ids=["scalar", "laurent"])
+    @pytest.mark.parametrize("scale", [
+        1, LaurentPoly.var(2, 2)], ids=["scalar", "laurent"])
+    @pytest.mark.parametrize("max_degree", [None, 0, 2])
+    def test_inner_sum_cancelling_to_zero(self, images, scale, max_degree):
+        # p = 5 + z1 (z1 z2 - z2 z2): with g1 = g2 the suffix sum after the
+        # first letter, q_1(g) = g1 g2 - g2 g2, is exactly zero
+        p = FreePoly(2, {(1, 1, 2): 1, (1, 2, 2): -1}).scale(scale) + 5
+        got = f_substitute(p, images, max_degree)
+        assert got == substitute_by_word_products(p, images, max_degree)
+        assert got.terms == {(): got.constant_coeff()}
+        assert got.constant_coeff() == 5
 
 
 class TestRingLaws:

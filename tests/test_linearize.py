@@ -350,13 +350,18 @@ class TestScalarCertificate:
                                                          monkeypatch):
         actions = self.actions(ex_a)
         seen = []
-        f_mul = freealg.f_mul
+        mul_into = freealg._mul_into
 
-        def spy(p, q, max_degree=None):
-            seen.append((p.nvars, q.nvars))
-            return f_mul(p, q, max_degree)
+        def kind(terms):
+            return next((c.nvars for c in terms.values()
+                         if isinstance(c, LaurentPoly)), None)
 
-        monkeypatch.setattr(freealg, "f_mul", spy)
+        def spy(out, a_terms, b_terms, max_degree):
+            seen.append((kind(a_terms), kind(b_terms)))
+            return mul_into(out, a_terms, b_terms, max_degree)
+
+        # every product, f_mul's and f_substitute's alike, runs this loop
+        monkeypatch.setattr(freealg, "_mul_into", spy)
         for action in actions:
             assert linearize(action).verified
         assert seen and all(kinds == (None, None) for kinds in seen)
