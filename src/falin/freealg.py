@@ -19,7 +19,9 @@ laurent kind, only ``LaurentPoly`` values, so ``==`` is structural.
 
 ``f_substitute`` evaluates in Horner form: grouping the words by their
 first letter, p = c + sum_j z_j q_j, it returns c + sum_j g_j q_j(g), so
-sums of suffixes cancel before they are multiplied.  ``compose`` and the
+sums of suffixes cancel before they are multiplied.  It keeps one frame per
+letter of the current word on a list rather than recursing, so words as
+long as the parser accepts evaluate at any call depth.  ``compose`` and the
 axiom check substitute each polynomial once and take this form.  A caller
 that substitutes many small polynomials into the same images passes one
 shared ``_cache`` instead, which keeps the product of the images along
@@ -271,25 +273,42 @@ def f_mul(p: FreePoly, q: FreePoly, max_degree: Optional[int] = None) -> FreePol
     return FreePoly(p.rank, out, nvars)
 
 
-def _horner(terms, words, depth: int, images, max_degree: Optional[int]):
-    """Raw terms of sum terms[w] * g(w[depth:]) over the w in ``words``.
+def _horner(terms, images, max_degree: Optional[int]):
+    """Raw terms of p(images), p given by its term map ``terms``, in Horner form.
 
-    Every word in ``words`` has the same first ``depth`` letters, so at
-    most one of them ends there; the rest are grouped by their next letter
-    j and contribute g_j times the evaluation of their suffixes.
+    Grouping the words by their first letter, p = c + sum_j z_j q_j gives
+    p(g) = c + sum_j g_j q_j(g), and each q_j is grouped the same way.  The
+    words are walked in lexicographic order, which visits the tree of their
+    prefixes depth first with every prefix before its extensions.
+    ``frames[d]`` collects the evaluated suffixes that follow the first d
+    letters of the previous word, ``path``; once the walk leaves such a
+    prefix its frame is multiplied by the image of the prefix's last letter
+    and added to the frame below.  The stack, not the call depth, grows
+    with the longest word.
     """
-    out: Dict[Word, object] = {}
-    groups = {}
-    for word in words:
-        if len(word) == depth:
-            out[EMPTY_WORD] = terms[word]
-        else:
-            groups.setdefault(word[depth], []).append(word)
-    for letter, group in groups.items():
-        inner = _horner(terms, group, depth + 1, images, max_degree)
+    path: Word = EMPTY_WORD
+    frames = [{}]
+    for word in sorted(terms):
+        # the longest common prefix of word and path; only the empty word,
+        # which sorts first, does not extend it
+        depth = 0
+        for a, b in zip(path, word):
+            if a != b:
+                break
+            depth += 1
+        for letter in reversed(path[depth:]):
+            inner = frames.pop()
+            if inner:
+                _mul_into(frames[-1], images[letter - 1].terms, inner,
+                          max_degree)
+        frames.extend({} for _ in word[depth:])
+        frames[-1][EMPTY_WORD] = terms[word]
+        path = word
+    for letter in reversed(path):
+        inner = frames.pop()
         if inner:
-            _mul_into(out, images[letter - 1].terms, inner, max_degree)
-    return out
+            _mul_into(frames[-1], images[letter - 1].terms, inner, max_degree)
+    return frames[0]
 
 
 def t_components(poly: FreePoly) -> dict:
@@ -316,7 +335,7 @@ def _horner_by_t(p: FreePoly, images, max_degree: Optional[int]):
     out: Dict[Word, LaurentPoly] = {}
     for m, part in t_components(p).items():
         terms = part.terms
-        for word, c in _horner(terms, terms, 0, images, max_degree).items():
+        for word, c in _horner(terms, images, max_degree).items():
             coeff = out.get(word)
             if coeff is None:
                 coeff = out[word] = LaurentPoly(p.nvars)
@@ -333,9 +352,10 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     the words of ``p`` are evaluated in Horner form: p = c + sum_j z_j q_j
     gives p(g) = c + sum_j g_j q_j(g), each q_j(g) evaluated the same way,
     so the suffix sums of words sharing a prefix are formed (and cancel)
-    before they are multiplied by that prefix's images.  A Laurent ``p``
-    under scalar images is split into its t-parts first, so that every
-    product is scalar.  With ``_cache`` each word is replaced by the
+    before they are multiplied by that prefix's images; the walk is
+    iterative, so word length is not bounded by the recursion limit.  A
+    Laurent ``p`` under scalar images is split into its t-parts first, so
+    that every product is scalar.  With ``_cache`` each word is replaced by the
     product of the images of its letters, cached by prefix.  Pass one dict
     to every call only when substituting many small polynomials into the
     same images, as linearize's t-part helper does: the products of shared
@@ -361,7 +381,7 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     elif p.nvars is not None and all(img.nvars is None for img in images):
         out = _horner_by_t(p, images, max_degree)
     else:
-        out = _horner(p.terms, p.terms, 0, images, max_degree)
+        out = _horner(p.terms, images, max_degree)
     # only a scalar p under Laurent images can mix kinds (its constant
     # term stays scalar); otherwise every value has the kind
     if nvars == p.nvars:

@@ -163,6 +163,16 @@ class TestInvertComposeAbelianize:
         assert run(["compose", str(left), str(right)]) == 0
         assert capsys.readouterr().out == composed
 
+    def test_compose_long_word(self, tmp_path, capsys):
+        # 2,000 letters, well past Python's default recursion limit
+        left = tmp_path / "left.map"
+        left.write_text("rank 1\nmap\nz1 -> 2*z1\nend\n")
+        right = tmp_path / "right.map"
+        right.write_text("rank 1\nmap\nz1 -> z1^2000\nend\n")
+        assert run(["compose", str(left), str(right)]) == 0
+        assert capsys.readouterr().out == (
+            f"rank 1\nmap\nz1 -> {2 ** 2000}*z1^2000\nend\n")
+
     def test_compose_rank_mismatch_exits_1(self, tmp_path, capsys):
         a = tmp_path / "a.map"
         a.write_text("rank 1\nmap\nz1 -> z1\nend\n")

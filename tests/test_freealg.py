@@ -254,6 +254,17 @@ class TestHornerMatchesWordProducts:
         assert got.terms == {(): got.constant_coeff()}
         assert got.constant_coeff() == 5
 
+    @pytest.mark.parametrize("max_degree", [None, 2000, 1999])
+    def test_long_word_is_not_a_recursion(self, max_degree):
+        # the evaluation keeps one frame per letter on a list, not the call
+        # stack, so a word far past the recursion limit still substitutes
+        one = FreePoly.gen(1, 1)
+        p = FreePoly(1, {(1,) * 2000: 1, (1,) * 1999: -1})
+        images = [one.scale(2)]
+        got = f_substitute(p, images, max_degree)
+        assert got == substitute_by_word_products(p, images, max_degree)
+        assert got.coeff((1,) * 2000) == (2 ** 2000 if max_degree != 1999 else 0)
+
 
 class TestRingLaws:
     @settings(max_examples=60, deadline=None)
