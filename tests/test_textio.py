@@ -376,6 +376,88 @@ class TestPositions:
             assert render(parse(crlf)) == text
 
 
+# -- powers written after a variable ------------------------------------
+
+LONG = "1" * (MAX_DIGITS + 1)
+
+
+class TestVariablePowers:
+    """Blank and malformed powers, pinned to what the parser has always
+    done with them (rank 1, one binding for z1)."""
+
+    @pytest.mark.parametrize("expr, image", [
+        ("t1 ^ -3*z1", "t1^-3*z1"),
+        ("t1^ - 3*z1", "t1^-3*z1"),
+        ("t1^ -\t3*z1", "t1^-3*z1"),
+        ("z1 ^ 2", "z1^2"),
+        ("z1 ^ 3*z1", "z1^4"),
+        ("z1^\t2 # c", "z1^2"),
+        ("2*t1^2*t1^-2*z1", "2*z1"),
+        ("z1^2*t1^ 1", "t1*z1^2"),
+        ("3*z1 ^ 2*t1 ^ -1 + t1^1*z1", "t1*z1 + 3*t1^-1*z1^2"),
+        ("t1^00*z1", "z1"),
+        ("z1^002", "z1^2"),
+    ])
+    def test_powers_parse(self, expr, image):
+        doc = parse(f"rank 1\naction\nz1 -> {expr}\nend\n")
+        assert render(doc) == f"rank 1\naction\nz1 -> {image}\nend\n"
+
+    @pytest.mark.parametrize("kind, expr, message, col", [
+        ("action", "z1^2^3", "expected end of line after the binding expression",
+         11),
+        ("action", "z1 ^2 ^3", "expected end of line after the binding "
+         "expression", 13),
+        ("action", "t1 ^ - 2 ^ 3", "expected end of line after the binding "
+         "expression", 16),
+        ("action", "t1^2 ^ 3", "expected end of line after the binding "
+         "expression", 12),
+        ("action", "(z1)^2^3", "expected end of line after the binding "
+         "expression", 13),
+        ("action", "t1^(2)*z1", "expected an integer exponent", 10),
+        ("action", "t1^-(2)*z1", "expected an integer exponent", 11),
+        ("action", "t1^+3*z1", "expected an integer exponent", 10),
+        ("action", "t1^", "expected an integer exponent", 10),
+        ("action", "t1^ # c", "expected an integer exponent", 14),
+        ("action", "z1a", "unknown name 'z1a'", 7),
+        ("action", "z1^2a", "unknown name 'a'", 11),
+        ("action", "t1^x", "unknown name 'x'", 10),
+        ("action", "t1^-x*z1", "unknown name 'x'", 11),
+        ("action", "z1^-1", "power of a z-variable must be a positive integer",
+         9),
+        ("action", "z1^0", "power of a z-variable must be a positive integer",
+         9),
+        ("action", "2*z1^-1", "power of a z-variable must be a positive "
+         "integer", 11),
+        ("action", "t1*z1^0", "power of a z-variable must be a positive "
+         "integer", 12),
+        ("map", "z1 ^ - 1", "power of a z-variable must be a positive integer",
+         10),
+        ("action", "z2^0", "z2 exceeds rank 1", 7),
+        ("action", "t2*z1", "t2 exceeds rank 1", 7),
+        ("map", "t1 ^ 2*z1", "t-variables are not allowed in a map document",
+         7),
+        ("action", "z1^10001", "expansion would build words of 10001 letters, "
+         "more than 10000", 9),
+        ("action", "t1*z1^10001", "expansion would build words of 10001 "
+         "letters, more than 10000", 12),
+        ("action", "0*t1*z1^10001 + z1", "expansion would build words of "
+         "10001 letters, more than 10000", 14),
+        ("action", "z1*z1^10000", "expansion would build words of 10001 "
+         "letters, more than 10000", 9),
+        ("action", "z1^2*z1^10000", "expansion would build words of 10002 "
+         "letters, more than 10000", 11),
+        ("action", f"z1^{LONG}", "numeral of more than 1000 digits", 10),
+        ("action", f"z1 ^ {LONG}", "numeral of more than 1000 digits", 12),
+        ("action", f"t1^-{LONG}*z1", "numeral of more than 1000 digits", 11),
+        ("action", f"t1*z{LONG}", "numeral of more than 1000 digits", 11),
+    ])
+    def test_power_errors(self, kind, expr, message, col):
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\n{kind}\nz1 -> {expr}\nend\n")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"3:{col}: {message}", 3, col)
+
+
 class TestPrint:
     def test_reduced_power_form(self):
         assert poly_str(FreePoly(2, {(1, 1, 2): 1})) == "z1^2*z2"
