@@ -159,9 +159,7 @@ class FreePoly:
 
     def degree(self) -> int:
         """Max word length; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
+        return max(map(len, self.terms), default=-1)
 
     # -- ring operations ----------------------------------------------
 

@@ -8,13 +8,18 @@ report) is:
     binding   := zvar "->" expr NEWLINE
     expr      := term (("+" | "-") term)*
     term      := factor ("*" factor)*
-    factor    := atom ("^" SIGNEDINT)?
-    atom      := RATIONAL | tvar | zvar | "(" expr ")"
-    zvar      := "z" INT     tvar := "t" INT
+    factor    := VARIABLE | atom ("^" SIGNEDINT)?
+    atom      := RATIONAL | "(" expr ")"
+    VARIABLE  := ("z" | "t") INT ("^" SIGNEDINT)?
+    zvar      := "z" INT
     RATIONAL  := SIGNEDINT ("/" POSINT)?
 
 "#" starts a comment running to the end of the line.  Whitespace is
-insignificant except that a newline ends a binding.  z-variables do not
+insignificant except that a newline ends a binding.  A variable and its
+power are one token, VARIABLE, with blanks allowed around its "^" and "-"
+(t1 ^ -3) but no comment; a letter right after the index makes the token
+a name (z1a is an unknown name).  Tokens are the matched strings, and
+each distinct numeral or variable is read once.  z-variables do not
 commute with each other; t-variables commute with everything.  A power on
 a z-variable must be a positive integer (it expands into repeated
 letters); powers on t-variables may be any integer.  A power or product
@@ -29,7 +34,8 @@ may not mention t-variables.
 The parser holds every expression as one flat term map {(word,
 t-exponents): scalar} with no zero values; the t-exponents are () in a map
 document.  Sums add scalars per key, products concatenate words and add
-exponents, and each binding's FreePoly (with LaurentPoly coefficients in
+exponents (a single term takes in a variable factor by updating its one
+key), and each binding's FreePoly (with LaurentPoly coefficients in
 an action document) is built once, from the map of its whole expression.
 
 Printing produces the canonical form: free terms in graded-lex word
@@ -107,48 +113,65 @@ class ActionDocument:
 # -- tokenizer ----------------------------------------------------------
 
 # One token per match, after optional blanks and a comment; the empty
-# match at the end of the text is the "eof" token.  ASCII classes only (\d
-# and str.isdigit also accept superscripts and other scripts' digits); the
-# "." alternative catches any other character.
+# match at the end of the text is the eof token "".  A variable token takes
+# in its power, blanks allowed around "^" and "-" (t1 ^ -3), so a "^" left
+# after a variable token is not followed by a signed integer; the lookahead
+# leaves a name such as z1a whole.  _VARIABLE splits a variable token.
+# ASCII classes only (\d and str.isdigit also accept superscripts and
+# other scripts' digits); the "." alternative catches any other character.
 _TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?"
-                    r"(\n|[0-9]+|[A-Za-z][A-Za-z0-9]*|->|[-+*/^()]|.|\Z)")
-_OPERATORS = frozenset(["->", "+", "-", "*", "/", "^", "(", ")"])
+                    r"(\n|[zt][0-9]+(?![A-Za-z0-9])"
+                    r"(?:[ \t\r]*\^[ \t\r]*-?[ \t\r]*[0-9]+)?"
+                    r"|[0-9]+|[A-Za-z][A-Za-z0-9]*|->|[-+*/^()]|.|\Z)")
+_VARIABLE = re.compile(r"([zt])([0-9]+)"
+                       r"(?:[ \t\r]*\^[ \t\r]*(-?)[ \t\r]*([0-9]+))?")
+# tokens that stand for themselves: operators, keywords, newline and eof
+_PLAIN = frozenset(["->", "+", "-", "*", "/", "^", "(", ")", "\n", ""]) | KEYWORDS
 _DIGITS = frozenset(string.digits)
 _LETTERS = frozenset(string.ascii_letters)
 
 
 def _tokenize(text: str):
-    """(kind, value, index) tuples, ending with an "eof" token.
+    """(tokens, numerals, variables) of ``text``.
 
-    A token stores its index, not its position: ``_position`` finds the
-    line and column again when an error needs them."""
-    tokens = []
-    for i, s in enumerate(_TOKEN.findall(text)):
-        if s in _OPERATORS:
-            tokens.append((s, None, i))
-        elif not s:
-            tokens.append(("eof", None, i))
-            return tokens
-        elif s[0] in "zt" and s[1:].isdigit():
-            kind = "zvar" if s[0] == "z" else "tvar"
-            tokens.append((kind, _numeral(s[1:], text, i, 1), i))
-        elif s[0] in _DIGITS:
-            tokens.append(("int", _numeral(s, text, i), i))
-        elif s == "\n":
-            tokens.append(("newline", None, i))
-        elif s in KEYWORDS:
-            tokens.append((s, s, i))
+    The tokens are the strings ``_TOKEN`` matches, ending with "" (eof).
+    ``numerals`` maps each distinct numeral token to its value, and
+    ``variables`` each distinct variable token to (letter, index, power,
+    offset of its "^" or None), so names and numerals are checked once per
+    distinct string.  A token is known by its index in the list:
+    ``_position`` finds the line and column again when an error needs them.
+    """
+    tokens = _TOKEN.findall(text)
+    numerals, variables = {}, {}
+    for s in dict.fromkeys(tokens):
+        if s in _PLAIN:
+            continue
+        if s[0] in _DIGITS:
+            numerals[s] = _numeral(s, text, tokens, s)
+        elif m := _VARIABLE.fullmatch(s):
+            letter, index, sign, power = m.groups()
+            index = _numeral(index, text, tokens, s, 1)
+            if power is None:
+                variables[s] = (letter, index, 1, None)
+            else:
+                power = _numeral(power, text, tokens, s, m.start(4))
+                variables[s] = (letter, index, -power if sign else power,
+                                s.index("^"))
         elif s[0] in _LETTERS:
-            raise ParseError(f"unknown name '{s}'", *_position(text, i))
+            raise ParseError(f"unknown name '{s}'",
+                             *_position(text, tokens.index(s)))
         else:
-            raise ParseError(f"unexpected character {s!r}", *_position(text, i))
+            raise ParseError(f"unexpected character {s!r}",
+                             *_position(text, tokens.index(s)))
+    return tokens, numerals, variables
 
 
-def _numeral(digits: str, text: str, index: int, skip: int = 0) -> int:
+def _numeral(digits: str, text: str, tokens, token: str, offset: int = 0) -> int:
+    """The value of ``digits``, found ``offset`` characters into ``token``."""
     if len(digits) > MAX_DIGITS:
-        line, col = _position(text, index)
+        line, col = _position(text, tokens.index(token))
         raise ParseError(f"numeral of more than {MAX_DIGITS} digits",
-                         line, col + skip)
+                         line, col + offset)
     return int(digits)
 
 
@@ -161,71 +184,79 @@ def _position(text: str, index: int):
 # -- parser -------------------------------------------------------------
 
 class _Parser:
-    """Recursive descent over the tokens; expressions are term maps."""
+    """Recursive descent over the tokens; expressions are term maps.
+
+    Tokens are named by their index in ``self.tokens``; ``self.pos`` is the
+    index of the next one."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.numerals, self.variables = _tokenize(text)
         self.pos = 0
         self.rank = 0
         self.nvars: Optional[int] = None   # None while parsing a map document
         self.t0 = ()                       # t-exponents of a scalar
         self.depth = 0                     # open parentheses
 
-    def error(self, message: str, tok) -> ParseError:
-        return ParseError(message, *_position(self.text, tok[2]))
+    def error(self, message: str, at: int, offset: int = 0) -> ParseError:
+        """The error at token ``at``, ``offset`` characters into it."""
+        line, col = _position(self.text, at)
+        return ParseError(message, line, col + offset)
 
-    def peek(self):
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self):
+    def advance(self) -> int:
         # callers look at a token before consuming it, so eof never is
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect(self, kind: str, what: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise self.error(f"expected {what}", tok)
+    def expect(self, token: str, what: str) -> int:
+        if self.tokens[self.pos] != token:
+            raise self.error(f"expected {what}", self.pos)
         return self.advance()
 
+    def numeral(self, what: str) -> int:
+        value = self.numerals.get(self.tokens[self.pos])
+        if value is None:
+            raise self.error(f"expected {what}", self.pos)
+        self.pos += 1
+        return value
+
     def skip_newlines(self):
-        while self.peek()[0] == "newline":
-            self.advance()
+        while self.tokens[self.pos] == "\n":
+            self.pos += 1
 
     def require_newline(self, what: str):
-        tok = self.peek()
-        if tok[0] != "newline":
-            raise self.error(f"expected end of line after {what}", tok)
+        if self.tokens[self.pos] != "\n":
+            raise self.error(f"expected end of line after {what}", self.pos)
         self.skip_newlines()
 
-    def check_expansion(self, length: int, count: int, tok,
-                        log2_height=0.0) -> None:
+    def check_expansion(self, length: int, count: int, at: int,
+                        log2_height=0.0, offset: int = 0) -> None:
         if length > MAX_WORD_LENGTH:
             raise self.error(f"expansion would build words of {length} letters, "
-                             f"more than {MAX_WORD_LENGTH}", tok)
+                             f"more than {MAX_WORD_LENGTH}", at, offset)
         if count > MAX_PRODUCTS:
             raise self.error(f"expansion would form {count} term products, "
-                             f"more than {MAX_PRODUCTS}", tok)
+                             f"more than {MAX_PRODUCTS}", at, offset)
         if (math.log2(count or 1) + log2_height) * math.log10(2) > MAX_DIGITS:
             raise self.error(f"expansion would form scalars of more than "
-                             f"{MAX_DIGITS} digits", tok)
+                             f"{MAX_DIGITS} digits", at, offset)
 
     # document structure
 
     def document(self) -> ActionDocument:
         self.skip_newlines()
         self.expect("rank", "'rank'")
-        rank_tok = self.expect("int", "a positive rank")
-        if rank_tok[1] < 1:
-            raise self.error("rank must be at least 1", rank_tok)
-        self.rank = rank_tok[1]
+        rank_at = self.pos
+        self.rank = self.numeral("a positive rank")
+        if self.rank < 1:
+            raise self.error("rank must be at least 1", rank_at)
         self.require_newline("the rank header")
-        kind_tok = self.peek()
-        kind = kind_tok[0]
+        kind = self.peek()
         if kind not in ("action", "map"):
-            raise self.error("expected 'action' or 'map'", kind_tok)
+            raise self.error("expected 'action' or 'map'", self.pos)
         self.advance()
         if kind == "action":
             self.nvars = self.rank
@@ -234,26 +265,27 @@ class _Parser:
 
         bindings = []
         seen = set()
-        while self.peek()[0] == "zvar":
-            ztok = self.advance()
-            index = ztok[1]
+        while (var := self.variables.get(self.peek())) and var[0] == "z":
+            head = self.advance()
+            _, index, _, caret = var
             if not 1 <= index <= self.rank:
-                raise self.error(f"z{index} exceeds rank {self.rank}", ztok)
+                raise self.error(f"z{index} exceeds rank {self.rank}", head)
             if index in seen:
-                raise self.error(f"duplicate binding for z{index}", ztok)
+                raise self.error(f"duplicate binding for z{index}", head)
             seen.add(index)
+            if caret is not None:
+                raise self.error("expected '->'", head, caret)
             self.expect("->", "'->'")
             poly = self.build(self.expr())
             self.require_newline("the binding expression")
             bindings.append((index, poly))
-        end_tok = self.expect("end", "a binding or 'end'")
+        end_at = self.expect("end", "a binding or 'end'")
         missing = [i for i in range(1, self.rank + 1) if i not in seen]
         if missing:
-            raise self.error(f"missing binding for z{missing[0]}", end_tok)
+            raise self.error(f"missing binding for z{missing[0]}", end_at)
         self.skip_newlines()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise self.error("unexpected text after 'end'", tok)
+        if self.peek():
+            raise self.error("unexpected text after 'end'", self.pos)
         return ActionDocument(self.rank, kind, tuple(bindings))
 
     def build(self, terms) -> FreePoly:
@@ -270,9 +302,9 @@ class _Parser:
 
     def expr(self):
         terms = self.term()
-        while self.peek()[0] in ("+", "-"):
+        while self.peek() in ("+", "-"):
             op = self.advance()
-            plus = op[0] == "+"
+            plus = self.tokens[op] == "+"
             for key, c in self.term().items():
                 acc = terms.get(key, 0) + c if plus else terms.get(key, 0) - c
                 if not acc:
@@ -287,8 +319,16 @@ class _Parser:
     def term(self):
         terms, height = self.factor()
         length, count = _degree(terms), len(terms)
-        while self.peek()[0] == "*":
+        while self.peek() == "*":
             star = self.advance()
+            if len(terms) == 1 and self.peek() in self.variables:
+                # a single term takes in a variable: (word, exps) times it
+                [((word, exps), c)] = terms.items()
+                key = self.variable(word, exps)
+                length += len(key[0]) - len(word)
+                self.check_expansion(length, count, star, height)
+                terms = {key: c}
+                continue
             rhs, rhs_height = self.factor()
             length += _degree(rhs)
             count *= len(rhs)
@@ -299,10 +339,10 @@ class _Parser:
 
     def factor(self):
         """Returns (terms, log2 of a bound on its H; see _log2_height)."""
-        if self.peek()[0] in ("zvar", "tvar"):
-            return self.variable(), 0.0
+        if self.peek() in self.variables:
+            return {self.variable((), self.t0): 1}, 0.0
         terms, height = self.atom()
-        if self.peek()[0] != "^":
+        if self.peek() != "^":
             return terms, height
         caret = self.advance()
         power = self.signed_int()
@@ -327,68 +367,67 @@ class _Parser:
             result = _mul(result, terms)
         return result, math.log2(count or 1) + height
 
-    def variable(self):
-        """A z- or t-variable with its optional power, as a term map."""
-        tok = self.advance()
-        kind, index = tok[0], tok[1]
-        if kind == "tvar" and self.nvars is None:
-            raise self.error("t-variables are not allowed in a map document", tok)
+    def variable(self, word, exps):
+        """The key (word, exps) times the variable token with its power."""
+        at = self.advance()
+        letter, index, power, caret = self.variables[self.tokens[at]]
+        if letter == "t" and self.nvars is None:
+            raise self.error("t-variables are not allowed in a map document", at)
         if not 1 <= index <= self.rank:
-            raise self.error(f"{kind[0]}{index} exceeds rank {self.rank}", tok)
-        power = 1
-        if self.peek()[0] == "^":
-            caret = self.advance()
-            power = self.signed_int()
-            if kind == "zvar":
-                if power < 1:
-                    raise self.error("power of a z-variable must be a positive "
-                                     "integer", caret)
-                self.check_expansion(power, 1, caret)
-        if kind == "zvar":
-            return {((index,) * power, self.t0): 1}
-        exps = list(self.t0)
-        exps[index - 1] = power
-        return {((), tuple(exps)): 1}
+            raise self.error(f"{letter}{index} exceeds rank {self.rank}", at)
+        if caret is None and self.peek() == "^":
+            # the token took in any signed integer after "^", so this raises
+            self.advance()
+            self.signed_int()
+        if letter == "t":
+            exps = list(exps)
+            exps[index - 1] += power
+            return word, tuple(exps)
+        if caret is not None:
+            if power < 1:
+                raise self.error("power of a z-variable must be a positive "
+                                 "integer", at, caret)
+            self.check_expansion(power, 1, at, offset=caret)
+        return word + (index,) * power, exps
 
     def signed_int(self) -> int:
-        negative = False
-        if self.peek()[0] == "-":
+        negative = self.peek() == "-"
+        if negative:
             self.advance()
-            negative = True
-        value = self.expect("int", "an integer exponent")[1]
+        value = self.numeral("an integer exponent")
         return -value if negative else value
 
     def atom(self):
         """A rational or a parenthesized expression: (terms, log2 of its H)."""
         tok = self.peek()
-        if tok[0] == "int" or tok[0] == "-":
+        if tok == "-" or tok in self.numerals:
             value = self.rational()
             height = math.log2(max(abs(value.numerator), value.denominator))
             return ({((), self.t0): value} if value else {}), height
-        if tok[0] == "(":
+        if tok == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested more than {MAX_NESTING} "
-                                 f"deep", tok)
+                                 f"deep", self.pos)
             self.advance()
             self.depth += 1
             terms = self.expr()
             self.expect(")", "')'")
             self.depth -= 1
             return terms, _log2_height(terms)
-        raise self.error("expected a rational, a variable, or '('", tok)
+        raise self.error("expected a rational, a variable, or '('", self.pos)
 
     def rational(self):
-        negative = False
-        if self.peek()[0] == "-":
+        negative = self.peek() == "-"
+        if negative:
             self.advance()
-            negative = True
-        value = self.expect("int", "an integer")[1]
-        if self.peek()[0] == "/":
+        value = self.numeral("an integer")
+        if self.peek() == "/":
             self.advance()
-            den_tok = self.expect("int", "a positive denominator")
-            if den_tok[1] == 0:
-                raise self.error("denominator must be positive", den_tok)
-            value = Fraction(value, den_tok[1])
+            den_at = self.pos
+            denominator = self.numeral("a positive denominator")
+            if not denominator:
+                raise self.error("denominator must be positive", den_at)
+            value = Fraction(value, denominator)
         return normalize_scalar(-value if negative else value)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -456,6 +457,31 @@ class TestVariablePowers:
             parse(f"rank 1\n{kind}\nz1 -> {expr}\nend\n")
         assert (str(err.value), err.value.line, err.value.col) == (
             f"3:{col}: {message}", 3, col)
+
+    @pytest.mark.parametrize("head, message, col", [
+        ("z1^2", "expected '->'", 3),
+        ("z1 ^ 2", "expected '->'", 4),
+        ("z2^2", "z2 exceeds rank 1", 1),
+        ("t1", "expected a binding or 'end'", 1),
+        ("t1^2", "expected a binding or 'end'", 1),
+    ])
+    def test_binding_head_errors(self, head, message, col):
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\naction\n{head} -> z1\nend\n")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"3:{col}: {message}", 3, col)
+
+    def test_parse_peak_memory(self):
+        # the largest rank-4/5 document, r5s0 (9,956 bytes): every token
+        # held as a tuple once made this about 0.7 MB
+        text = render(rank45_actions()[6])
+        tracemalloc.start()
+        try:
+            parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
 
 
 class TestPrint:
