@@ -212,23 +212,24 @@ class _Parser:
         return self.pos - 1
 
     def expect(self, token: str, what: str) -> int:
-        if self.tokens[self.pos] != token:
+        if self.peek() != token:
             raise self.error(f"expected {what}", self.pos)
         return self.advance()
 
     def numeral(self, what: str) -> int:
-        value = self.numerals.get(self.tokens[self.pos])
+        """The value of the numeral token, which it consumes."""
+        value = self.numerals.get(self.peek())
         if value is None:
             raise self.error(f"expected {what}", self.pos)
-        self.pos += 1
+        self.advance()
         return value
 
     def skip_newlines(self):
-        while self.tokens[self.pos] == "\n":
-            self.pos += 1
+        while self.peek() == "\n":
+            self.advance()
 
     def require_newline(self, what: str):
-        if self.tokens[self.pos] != "\n":
+        if self.peek() != "\n":
             raise self.error(f"expected end of line after {what}", self.pos)
         self.skip_newlines()
 
