@@ -329,13 +329,13 @@ class _Parser:
                 length += len(key[0]) - len(word)
                 self.check_expansion(length, count, star, height)
                 terms = {key: c}
-                continue
-            rhs, rhs_height = self.factor()
-            length += _degree(rhs)
-            count *= len(rhs)
-            height += rhs_height
-            self.check_expansion(length, count, star, height)
-            terms = _mul(terms, rhs)
+            else:
+                rhs, rhs_height = self.factor()
+                length += _degree(rhs)
+                count *= len(rhs)
+                height += rhs_height
+                self.check_expansion(length, count, star, height)
+                terms = _mul(terms, rhs)
         return terms
 
     def factor(self):
