@@ -117,14 +117,16 @@ class ActionDocument:
 # in its power, blanks allowed around "^" and "-" (t1 ^ -3), so a "^" left
 # after a variable token is not followed by a signed integer; the lookahead
 # leaves a name such as z1a whole.  _VARIABLE splits a variable token.
+# A run of blanks in a power can match only one way (the blanks after "-"
+# follow the "-"), so an unfinished power is scanned in linear time.
 # ASCII classes only (\d and str.isdigit also accept superscripts and
 # other scripts' digits); the "." alternative catches any other character.
 _TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?"
                     r"(\n|[zt][0-9]+(?![A-Za-z0-9])"
-                    r"(?:[ \t\r]*\^[ \t\r]*-?[ \t\r]*[0-9]+)?"
+                    r"(?:[ \t\r]*\^[ \t\r]*(?:-[ \t\r]*)?[0-9]+)?"
                     r"|[0-9]+|[A-Za-z][A-Za-z0-9]*|->|[-+*/^()]|.|\Z)")
 _VARIABLE = re.compile(r"([zt])([0-9]+)"
-                       r"(?:[ \t\r]*\^[ \t\r]*(-?)[ \t\r]*([0-9]+))?")
+                       r"(?:[ \t\r]*\^[ \t\r]*(?:(-)[ \t\r]*)?([0-9]+))?")
 # tokens that stand for themselves: operators, keywords, newline and eof
 _PLAIN = frozenset(["->", "+", "-", "*", "/", "^", "(", ")", "\n", ""]) | KEYWORDS
 _DIGITS = frozenset(string.digits)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -470,6 +471,24 @@ class TestVariablePowers:
             parse(f"rank 1\naction\n{head} -> z1\nend\n")
         assert (str(err.value), err.value.line, err.value.col) == (
             f"3:{col}: {message}", 3, col)
+
+    @pytest.mark.parametrize("power, col", [
+        ("t1^" + " " * 200_000, 200_010),
+        ("t1^" + " " * 200_000 + "-" + " " * 200_000, 400_011),
+        ("t1 " + " " * 200_000 + "^ -" + " " * 200_000 + "x", 400_013),
+    ])
+    def test_long_blank_power_fails_fast(self, power, col):
+        # a blank run in an unfinished power is scanned once, not split
+        # every way between the blanks around "-" (quadratic backtracking)
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 1\naction\nz1 -> {power}\nend\n")
+        elapsed = time.perf_counter() - start
+        message = ("unknown name 'x'" if power.endswith("x")
+                   else "expected an integer exponent")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"3:{col}: {message}", 3, col)
+        assert elapsed < 2.0
 
     def test_parse_peak_memory(self):
         # the largest rank-4/5 document, r5s0 (9,956 bytes): every token
