@@ -9,6 +9,14 @@ alpha^-1(z_i) by t^{M(w)}, so the t^mu part of sigma(z_i) is alpha's scalar
 images substituted into the words of weight mu.  Distinct t-parts never
 cancel, so a build stops at the first word that takes sigma past the
 degree or term cap, and rejects exactly the actions a finished build would.
+A build is refused before any substitution when its top-degree terms
+already take it past a cap: homogeneous parts of the free algebra multiply
+without cancelling (it has no zero divisors), so when one word alone
+reaches the top weighted degree of a group that nothing can cancel, the
+top-degree part of its image has exactly the product of the top-part sizes
+of its letters' images (_refuse_by_top_degree).  The same check runs
+before each composition that builds alpha and alpha^-1, where a group is
+one image, and every case it does not catch is left to the full build.
 The generator keeps alpha's exact inverse alongside, verifies the
 conjugation identity before handing the action out, and redraws - still
 deterministically - whenever a build blows past the degree or size caps.
@@ -19,6 +27,7 @@ byte once printed.
 from __future__ import annotations
 
 import random
+from math import prod
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,7 +36,7 @@ from .coefficients import LaurentPoly
 from .endo import PolyMap, compose, identity_map, linear_map
 from .errors import DegreeBlowupExceeded, InternalInvariant
 from .freealg import FreePoly
-from .linearize import _tau_conjugate_parts, verify_conjugation
+from .linearize import _tau_conjugate_parts, _weight_parts, verify_conjugation
 from .torus import TorusAction, is_effective
 
 _MAX_REDRAWS = 96
@@ -72,6 +81,7 @@ def _prefilter(g: PolyMap, f: PolyMap, cap: int):
 
 def _compose_guarded(g: PolyMap, f: PolyMap, cap: int) -> PolyMap:
     _prefilter(g, f, cap)
+    _refuse_by_top_degree(g, [(img.terms,) for img in f.images], cap)
     result = compose(g, f)
     _check_size(result, cap)
     return result
@@ -156,6 +166,58 @@ def _over_cap(cap: int) -> DegreeBlowupExceeded:
         f"map exceeds the corpus cap (degree {cap}, {_TERM_CAP} terms)")
 
 
+def _refuse_by_top_degree(g: PolyMap, groups, cap: int) -> None:
+    """Raise _over_cap when g substituted into ``groups`` must pass the caps.
+
+    ``groups`` holds, for each image of the result, the term maps whose
+    images under g are added into it and cannot cancel one another: one
+    image f_i of compose(g, f), or the weight parts of one image of
+    alpha^-1 in the sigma build, since distinct t-parts never cancel.
+    Give a word w the weighted degree D(w) = sum of deg g_l over its letters
+    l.  When exactly one word w of a group attains the group's largest D,
+    the degree-D part of its image is c_w times the product of the top
+    homogeneous parts top(g_l): a word of degree D splits into words of
+    degrees deg g_l in one way only and Q has no zero divisors, so that
+    product has exactly prod |top(g_l)| terms, and no other word of the
+    group reaches degree D (Cohn, Free Rings and Their Relations, 1985).
+    A word with a letter whose image is zero contributes nothing.  Distinct
+    t-parts may still share a word, so groups of one image that meet at the
+    same D are counted once, by the largest count.  Summed over the images,
+    those counts are terms the result must have, and a nonzero count at D
+    proves that it has a word of degree D.  Past either cap the build would
+    end in _over_cap, so it is refused before anything is substituted;
+    every case this does not catch is left to the build.
+    """
+    degrees, tops = [0], [1]  # indexed by letter
+    for img in g.images:
+        lengths = list(map(len, img.terms))
+        degree = max(lengths, default=-1)
+        degrees.append(degree)
+        tops.append(lengths.count(degree))
+    zero = {l for l, d in enumerate(degrees) if d < 0}
+    weigh, top_size = degrees.__getitem__, tops.__getitem__
+    size = 0
+    for image_groups in groups:
+        counts = {}
+        for terms in image_groups:
+            top, count = -1, 0
+            for word in terms:
+                if zero and not zero.isdisjoint(word):
+                    continue
+                d = sum(map(weigh, word))
+                if d > top:
+                    top, count = d, prod(map(top_size, word))
+                elif d == top:
+                    count = 0  # the two top parts may cancel
+            if count:
+                if top > cap:
+                    raise _over_cap(cap)
+                counts[top] = max(counts.get(top, 0), count)
+        size += sum(counts.values())
+    if size > _TERM_CAP:
+        raise _over_cap(cap)
+
+
 def _check_size(pm: PolyMap, cap: int):
     size = sum(len(img.terms) for img in pm.images)
     if pm.degree() > cap or size > _TERM_CAP:
@@ -173,20 +235,24 @@ def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
     distinct t-parts never cancel, so the build stops as soon as its
     running term count passes the term cap or a new word is longer than
     ``degree_cap``: it rejects exactly what _check_size on the finished map
-    would, with the same message.  The caps run in the order of
-    compose(compose(alpha, tau), alpha^-1): alpha o tau scales each image of
-    alpha by a unit t-monomial, so it has alpha's term counts and degrees,
-    and every guard on it is run on alpha instead.
+    would, with the same message.  Before it starts, the weight of each
+    word of alpha^-1 is worked out once, and _refuse_by_top_degree refuses
+    a build whose top-degree terms already pass a cap.  The caps run in
+    the order of compose(compose(alpha, tau), alpha^-1): alpha o tau scales
+    each image of alpha by a unit t-monomial, so it has alpha's term counts
+    and degrees, and every guard on it is run on alpha instead.
     """
     _check_size(alpha, degree_cap)  # the size of alpha o tau
     _prefilter(alpha, alpha_inverse, degree_cap)
+    parts = [_weight_parts(inverse, weights) for inverse in alpha_inverse.images]
+    _refuse_by_top_degree(alpha, [p.values() for p in parts], degree_cap)
     n = alpha.rank
     cache = {}
     size = 0
     images = []
-    for inverse in alpha_inverse.images:
+    for image_parts in parts:
         out = {}
-        for mu, part in _tau_conjugate_parts(alpha, inverse, weights, cache):
+        for mu, part in _tau_conjugate_parts(alpha, image_parts, cache):
             for word, c in part.terms.items():
                 coeff = out.get(word)
                 if coeff is None:
@@ -249,5 +315,6 @@ def gen_action(spec: CorpusSpec):
         try:
             return _attempt(spec, rng)
         except DegreeBlowupExceeded as err:
-            failure = err
+            # the traceback would keep the failed attempt's maps alive
+            failure = err.with_traceback(None)
     raise failure

@@ -126,27 +126,40 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
         for j, p in enumerate(report.base_change[i]):
             if p:
                 inverse = inverse + report.beta_inverse.images[j].scale(p)
-        got = dict(_tau_conjugate_parts(gamma, inverse, report.weights, cache))
+        got = dict(_tau_conjugate_parts(
+            gamma, _weight_parts(inverse, report.weights), cache))
         if got != t_components(img):
             return False
     return True
 
 
-def _tau_conjugate_parts(gamma: PolyMap, poly: FreePoly, weights, cache: dict):
-    """Yield (mu, part) for the nonzero t^mu parts of gamma(tau(t)(poly)).
+def _weight_parts(poly: FreePoly, weights) -> dict:
+    """{mu: terms}: the words of ``poly`` grouped by their tau-weight.
 
-    gamma and poly are scalar.  tau(t) scales a word w of poly by t^{M(w)},
-    where M(w) sums the weight rows of its letters, so the t^mu part is
-    gamma substituted into the words of poly of weight mu.  Distinct parts
-    never cancel, and each is substituted only when the caller asks for it,
-    so a caller can stop between parts.  ``cache`` holds gamma's prefix
-    products and may be shared across calls with the same gamma.
+    tau(t) scales a word w by t^{M(w)}, where M(w) sums the weight rows of
+    its letters.  Each word's weight is worked out here once, for
+    _tau_conjugate_parts and for the corpus generator's refusal before a
+    build.
     """
-    n = gamma.rank
+    n = len(weights)
     parts = {}
     for word, c in poly.terms.items():
         mu = tuple(sum(weights[l - 1][k] for l in word) for k in range(n))
         parts.setdefault(mu, {})[word] = c
+    return parts
+
+
+def _tau_conjugate_parts(gamma: PolyMap, parts: dict, cache: dict):
+    """Yield (mu, part) for the nonzero t^mu parts of gamma(tau(t)(poly)).
+
+    gamma and poly are scalar, and ``parts`` is _weight_parts(poly, M): the
+    t^mu part is gamma substituted into the words of poly of weight mu.
+    Distinct parts never cancel, and each is substituted only when the
+    caller asks for it, so a caller can stop between parts.  ``cache``
+    holds gamma's prefix products and may be shared across calls with the
+    same gamma.
+    """
+    n = gamma.rank
     for mu, terms in parts.items():
         part = f_substitute(FreePoly._raw(n, None, terms), gamma.images,
                             _cache=cache)

@@ -28,8 +28,9 @@ than MAX_PRODUCTS products of terms (a Laurent coefficient counting one
 term per t-monomial) or scalars of more than MAX_DIGITS digits, is a parse
 error, and so is a sum that forms such a scalar, a longer numeral, a
 non-ASCII token, a power above MAX_WORD_LENGTH of an expression without
-z-letters or parentheses nested more than MAX_NESTING deep.  Map documents
-may not mention t-variables.
+z-letters or parentheses nested more than MAX_NESTING deep.  So is a rank
+above the document's length in characters, which no document could bind.
+Map documents may not mention t-variables.
 
 The parser holds every expression as one flat term map {(word,
 t-exponents): scalar} with no zero values; the t-exponents are () in a map
@@ -256,6 +257,11 @@ class _Parser:
         self.rank = self.numeral("a positive rank")
         if self.rank < 1:
             raise self.error("rank must be at least 1", rank_at)
+        # every generator needs its own binding, so no document binds more
+        # generators than it has characters; checked before t0 is built
+        if self.rank > len(self.text):
+            raise self.error(f"rank {self.rank} is more than a document of "
+                             f"{len(self.text)} characters can bind", rank_at)
         self.require_newline("the rank header")
         kind = self.peek()
         if kind not in ("action", "map"):

@@ -300,6 +300,17 @@ class TestUsageErrors:
                 and captured.err.count("\n") == 1)
         assert "Traceback" not in captured.err
 
+    def test_rank_beyond_the_document_is_parse_error(self, tmp_path, capsys):
+        # once a MemoryError traceback: the parser built a tuple of rank
+        # t-exponents before reading a binding
+        path = tmp_path / "rank.act"
+        path.write_text("rank 100000000000\naction\nz1 -> t1*z1\nend\n")
+        assert run(["linearize", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: 1:6: rank 100000000000 is more "
+                                "than a document of 41 characters can bind\n")
+
     def test_deep_nesting_is_parse_error(self, tmp_path, capsys):
         # deep enough to exhaust the interpreter stack without the limit
         path = tmp_path / "deep.act"

@@ -1,8 +1,12 @@
 """Corpus generation: reproducibility, ground truth, degree caps."""
 
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +15,9 @@ from hypothesis import strategies as st
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
                    compose, identity_map, map_document, render,
                    verify_conjugation)
-from falin.corpusgen import (_COST_CAP, CorpusSpec, _check_size,
-                             _compose_guarded, _prefilter, conjugated_action,
+from falin.corpusgen import (_COST_CAP, _TERM_CAP, CorpusSpec, _check_size,
+                             _compose_guarded, _prefilter,
+                             _refuse_by_top_degree, conjugated_action,
                              gen_action, gen_elementary, substitution_cost)
 from falin.linearize import build_tau
 
@@ -32,6 +37,19 @@ CORPUS_GENERATE_DIGEST = (
 # compose(alpha, compose(tau, alpha^-1)) checked for size once finished.
 BEYOND_CORPUS_DIGEST = (
     "94a7ae6c30191b359fdf003535f5057e8e274718688a9c2c19238837b079cd71")
+
+# SHA-256 over action, alpha, alpha^-1 and weights, or the error text, for
+# acceptance specs 100-299 and for 4-5 degree-3 factors under degree caps
+# 6-13 (REFUSED_SPECS), computed by the code before a build could be refused
+# on its top-degree term count; the count refuses builds at both call sites.
+REFUSED_BUILDS_DIGEST = (
+    "99bcc26609bfa75398593e3638212323af29cbd21fb1757f0fe5cf8f62c44003")
+REFUSED_SPECS = ([corpus_spec(seed) for seed in range(100, 300)]
+                 + [CorpusSpec(rank=rank, seed=cap, n_elementary=factors,
+                               max_poly_degree=3, weight_bound=3,
+                               degree_cap=cap)
+                    for cap in range(6, 14)
+                    for rank, factors in ((2, 4), (3, 5))])
 
 
 def composed_elementary(rank, seed, factors):
@@ -135,8 +153,12 @@ class TestConjugatedAction:
 
     @settings(max_examples=200, deadline=None)
     @given(conjugations())
-    # 1,003 terms at degree 8: only the term cap trips
+    # 1,003 terms at degree 8: only the term cap trips, and the top-degree
+    # count proves it before the build
     @example((2, 54, [(3, 2), (2, 2), (2, 1), (2, 2)], [[1, 2], [0, -2]], 8))
+    # the top-degree count proves a word of degree 8 past the cap of 7
+    @example((3, 3673165915, [(3, 2), (3, 2), (3, 3)],
+              [[0, 1, -2], [-1, 2, -3], [3, -1, 1]], 7))
     def test_early_stop_rejects_exactly_what_the_finished_map_would(self, case):
         rank, seed, factors, weights, cap = case
         alpha, alpha_inv = composed_elementary(rank, seed, factors)
@@ -150,6 +172,97 @@ class TestConjugatedAction:
         else:
             action = conjugated_action(alpha, alpha_inv, weights, cap)
             assert action.map == expected
+
+
+    def test_t_parts_that_share_top_words_count_once(self):
+        # sigma(z3) takes z3, z1 and z2 from alpha^-1(z3) at three distinct
+        # weights, and all three images have the same 128 top words; summed
+        # per t-part the count would read 646 terms, but sigma has 391
+        z1, z2, z3, z4, z5 = (FreePoly.gen(5, i) for i in range(1, 6))
+        p = z4 + z5
+        for _ in range(6):
+            p = p * (z4 + z5)
+        alpha = PolyMap([z1 + p, z2 + p, z3 - z1 - z2 - p.scale(2), z4, z5])
+        alpha_inv = PolyMap([z1 - p, z2 - p, z3 + z1 + z2, z4, z5])
+        weights = [[int(i == j) for j in range(5)] for i in range(5)]
+        action = conjugated_action(alpha, alpha_inv, weights)
+        assert sum(len(img.terms) for img in action.map.images) == 391
+        assert action.map == reference_conjugated_action(alpha, alpha_inv,
+                                                         weights, 12)
+
+
+@st.composite
+def scalar_maps(draw, rank):
+    """Scalar maps with rational, constant, zero and repeated images."""
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    word = st.lists(st.integers(1, rank), max_size=3).map(tuple)
+    image = st.dictionaries(word, coeff, max_size=4).map(
+        lambda terms: FreePoly(rank, terms))
+    # repeated images give words that tie at the top and cancel there
+    pool = draw(st.lists(image, min_size=1, max_size=rank))
+    return PolyMap([draw(st.sampled_from(pool)) for _ in range(rank)])
+
+
+class TestTopDegreeRefusal:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(scalar_maps(n), scalar_maps(n))))
+    def test_one_top_word_gives_the_top_term_count(self, maps):
+        g, f = maps
+        degrees = [img.degree() for img in g.images]
+        tops = [sum(len(w) == d for w in img.terms)
+                for img, d in zip(g.images, degrees)]
+        for f_i, image in zip(f.images, compose(g, f).images):
+            reach = {w: sum(degrees[l - 1] for l in w) for w in f_i.terms
+                     if all(degrees[l - 1] >= 0 for l in w)}
+            top = max(reach.values(), default=None)
+            tied = [w for w, d in reach.items() if d == top]
+            if len(tied) == 1:
+                assert image.degree() == top
+                assert (sum(len(w) == top for w in image.terms)
+                        == prod(tops[l - 1] for l in tied[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(scalar_maps(n), scalar_maps(n))),
+        st.integers(0, 6))
+    # z1 and z2 tie at the top of z1 - z2, and their images cancel
+    @example((PolyMap([FreePoly.gen(2, 1)] * 2),
+              PolyMap([FreePoly(2, {(1,): 1, (2,): -1}),
+                       FreePoly.const(2, 1)])), 0)
+    def test_refuses_only_maps_past_a_cap(self, maps, cap):
+        g, f = maps
+        try:
+            _refuse_by_top_degree(g, [(img.terms,) for img in f.images], cap)
+        except DegreeBlowupExceeded as err:
+            with pytest.raises(DegreeBlowupExceeded) as full:
+                _check_size(compose(g, f), cap)
+            assert str(err) == str(full.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(conjugations())
+    # alpha^-1 after three factors: compose would build 1,012 terms of
+    # degree 9, and the top-degree count refuses it first
+    @example((2, 194, [(2, 1), (3, 2), (3, 1)], [[1, 0], [0, 1]], 12))
+    def test_compose_guarded_refuses_exactly_what_the_finished_map_would(
+            self, case):
+        rank, seed, factors, _, cap = case
+        rng = random.Random(seed)
+        alpha = alpha_inv = identity_map(rank)
+        for degree, target in factors:
+            fwd, back = gen_elementary(rank, rng, degree, target)
+            for g, f in ((fwd, alpha), (alpha_inv, back)):
+                try:
+                    _prefilter(g, f, cap)
+                    expected = compose(g, f)
+                    _check_size(expected, cap)
+                except DegreeBlowupExceeded as err:
+                    with pytest.raises(DegreeBlowupExceeded) as got:
+                        _compose_guarded(g, f, cap)
+                    assert str(got.value) == str(err)
+                    return
+                assert _compose_guarded(g, f, cap) == expected
+            alpha, alpha_inv = compose(fwd, alpha), compose(alpha_inv, back)
 
 
 class TestGenAction:
@@ -217,6 +330,40 @@ class TestGenAction:
                     + json.dumps(truth.weights, separators=(",", ":")) + "\n")
             digest.update(text.encode())
         assert digest.hexdigest() == BEYOND_CORPUS_DIGEST
+
+    def test_generation_where_builds_are_refused_pinned(self):
+        digest = hashlib.sha256()
+        for spec in REFUSED_SPECS:
+            try:
+                action, truth = gen_action(spec)
+            except DegreeBlowupExceeded as err:
+                text = f"error: {err}\n"
+            else:
+                text = (render(action) + map_document(truth.alpha)
+                        + map_document(truth.alpha_inverse)
+                        + json.dumps(truth.weights, separators=(",", ":"))
+                        + "\n")
+            digest.update(text.encode())
+        assert digest.hexdigest() == REFUSED_BUILDS_DIGEST
+
+    def test_generation_peak_memory(self):
+        # a failed attempt's maps once stayed alive through the next attempt
+        # in the traceback gen_action kept, and refused builds were composed
+        # in full: the largest peak was 5.2 MB
+        gc.freeze()  # the collections below then skip the session's objects
+        tracemalloc.start()
+        try:
+            peak = 0
+            for seed in range(100):
+                gc.collect()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                gen_action(corpus_spec(seed))
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+            gc.unfreeze()
+        assert peak < 1_000_000
 
     def test_no_linear_factor(self):
         spec = CorpusSpec(rank=2, seed=5, n_elementary=0, max_poly_degree=2,

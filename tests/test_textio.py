@@ -183,6 +183,24 @@ class TestParse:
         # the innermost '(' is the one past the limit
         assert (err.value.line, err.value.col) == (3, len("z1 -> ") + depth)
 
+    @pytest.mark.parametrize("kind", ["action", "map"])
+    def test_rank_beyond_the_document_rejected_at_numeral(self, kind):
+        # once a MemoryError: an action document built a tuple of rank
+        # t-exponents before it read a binding
+        text = f"rank 100000000000\n{kind}\nz1 -> z1\nend\n"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == (f"1:6: rank 100000000000 is more than a "
+                                  f"document of {len(text)} characters can bind")
+
+    def test_rank_up_to_the_document_length_reads_the_bindings(self):
+        text = "rank 25\nmap\nz1 -> z1\nend\n"
+        assert len(text) == 25
+        with pytest.raises(ParseError, match="^4:1: missing binding for z2$"):
+            parse(text)
+        with pytest.raises(ParseError, match="^1:6: rank 26 is more than"):
+            parse(text.replace("25", "26"))
+
     def test_all_listed_errors_have_positions(self):
         bad_inputs = [
             "",                                           # empty
