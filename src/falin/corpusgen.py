@@ -9,14 +9,12 @@ alpha^-1(z_i) by t^{M(w)}, so the t^mu part of sigma(z_i) is alpha's scalar
 images substituted into the words of weight mu.  Distinct t-parts never
 cancel, so a build stops at the first word that takes sigma past the
 degree or term cap, and rejects exactly the actions a finished build would.
-A build is refused before any substitution when its top-degree terms
-already take it past a cap: homogeneous parts of the free algebra multiply
-without cancelling (it has no zero divisors), so when one word alone
-reaches the top weighted degree of a group that nothing can cancel, the
-top-degree part of its image has exactly the product of the top-part sizes
-of its letters' images (_refuse_by_top_degree).  The same check runs
-before each composition that builds alpha and alpha^-1, where a group is
-one image, and every case it does not catch is left to the full build.
+Before that build, and before each composition that builds alpha and
+alpha^-1, _refuse_by_top_degree counts top-degree terms without forming
+them: the free algebra has no zero divisors, so a word that alone reaches
+its group's top weighted degree has an image with exactly the product of
+the top-part sizes of its letters' images there.  A build those counts put
+past a cap is refused; every other case is left to the full build.
 The generator keeps alpha's exact inverse alongside, verifies the
 conjugation identity before handing the action out, and redraws - still
 deterministically - whenever a build blows past the degree or size caps.
@@ -27,8 +25,8 @@ byte once printed.
 from __future__ import annotations
 
 import random
-from math import prod
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Tuple
 
 from . import linalg

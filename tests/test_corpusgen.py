@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
                    compose, identity_map, map_document, render,
                    verify_conjugation)
-from falin.corpusgen import (_COST_CAP, _TERM_CAP, CorpusSpec, _check_size,
+from falin.corpusgen import (_COST_CAP, CorpusSpec, _check_size,
                              _compose_guarded, _prefilter,
                              _refuse_by_top_degree, conjugated_action,
                              gen_action, gen_elementary, substitution_cost)
@@ -156,7 +156,8 @@ class TestConjugatedAction:
     # 1,003 terms at degree 8: only the term cap trips, and the top-degree
     # count proves it before the build
     @example((2, 54, [(3, 2), (2, 2), (2, 1), (2, 2)], [[1, 2], [0, -2]], 8))
-    # the top-degree count proves a word of degree 8 past the cap of 7
+    # the top-degree count proves sigma has a word of degree 15, past the
+    # cap of 7
     @example((3, 3673165915, [(3, 2), (3, 2), (3, 3)],
               [[0, 1, -2], [-1, 2, -3], [3, -1, 1]], 7))
     def test_early_stop_rejects_exactly_what_the_finished_map_would(self, case):
@@ -172,7 +173,6 @@ class TestConjugatedAction:
         else:
             action = conjugated_action(alpha, alpha_inv, weights, cap)
             assert action.map == expected
-
 
     def test_t_parts_that_share_top_words_count_once(self):
         # sigma(z3) takes z3, z1 and z2 from alpha^-1(z3) at three distinct
