@@ -21,17 +21,10 @@ laurent kind, only ``LaurentPoly`` values, so ``==`` is structural.
 first letter, p = c + sum_j z_j q_j, it returns c + sum_j g_j q_j(g), so
 sums of suffixes cancel before they are multiplied.  It keeps one frame per
 letter of the current word on a list rather than recursing, so words as
-long as the parser accepts evaluate at any call depth.  ``compose`` and the
-axiom check substitute each polynomial once and take this form.  A caller
-that substitutes many small polynomials into the same images passes one
-shared ``_cache`` instead, which keeps the product of the images along
-every word prefix across calls.  Only ``linearize._tau_conjugate_parts``
-does: it splits each polynomial into small weight parts (for the
-certificate and for the generator's early-stop build) whose words share
-prefixes across parts and polynomials, and evaluating each part on its own
-would multiply those prefixes again.  A Laurent polynomial under scalar
-images is evaluated one t-part at a time, so only scalars are multiplied.
-``f_mul`` and every evaluation share one product loop over raw term maps.
+long as the parser accepts evaluate at any call depth.  A Laurent
+polynomial under scalar images is evaluated one t-part at a time, so only
+scalars are multiplied.  ``f_mul`` and every evaluation share one product
+loop over raw term maps.
 
 Display order everywhere is graded lexicographic on words (length first,
 then letters, z1 < z2 < ...); that order also defines which witness a
@@ -342,25 +335,19 @@ def _horner_by_t(p: FreePoly, images, max_degree: Optional[int]):
 
 
 def f_substitute(p: FreePoly, images: Sequence[FreePoly],
-                 max_degree: Optional[int] = None,
-                 _cache: Optional[Dict[Word, FreePoly]] = None) -> FreePoly:
+                 max_degree: Optional[int] = None) -> FreePoly:
     """Algebra-homomorphism image of ``p`` under z_j -> images[j-1].
 
-    Coefficients multiply through (they are central).  Without ``_cache``
-    the words of ``p`` are evaluated in Horner form: p = c + sum_j z_j q_j
-    gives p(g) = c + sum_j g_j q_j(g), each q_j(g) evaluated the same way,
-    so the suffix sums of words sharing a prefix are formed (and cancel)
-    before they are multiplied by that prefix's images; the walk is
-    iterative, so word length is not bounded by the recursion limit.  A
-    Laurent ``p`` under scalar images is split into its t-parts first, so
-    that every product is scalar.  With ``_cache`` each word is replaced by the
-    product of the images of its letters, cached by prefix.  Pass one dict
-    to every call only when substituting many small polynomials into the
-    same images, as linearize's t-part helper does: the products of shared
-    prefixes are then formed once across calls, which Horner form cannot
-    do.  ``max_degree`` truncates every product at that word length; word
-    lengths never fall in a product, so the result is exact in every
-    degree <= max_degree.
+    Coefficients multiply through (they are central).  The words of ``p``
+    are evaluated in Horner form: p = c + sum_j z_j q_j gives
+    p(g) = c + sum_j g_j q_j(g), each q_j(g) evaluated the same way, so the
+    suffix sums of words sharing a prefix are formed (and cancel) before
+    they are multiplied by that prefix's images; the walk is iterative, so
+    word length is not bounded by the recursion limit.  A Laurent ``p``
+    under scalar images is split into its t-parts first, so that every
+    product is scalar.  ``max_degree`` truncates every product at that word
+    length; word lengths never fall in a product, so the result is exact
+    in every degree <= max_degree.
     """
     if len(images) != p.rank:
         raise RankMismatch(f"{len(images)} images for rank {p.rank}")
@@ -374,9 +361,7 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
             raise RankMismatch("substitution images have differing ranks")
     if rank is None:
         rank = p.rank
-    if _cache is not None:
-        out = _prefix_products(p, images, rank, max_degree, _cache)
-    elif p.nvars is not None and all(img.nvars is None for img in images):
+    if p.nvars is not None and all(img.nvars is None for img in images):
         out = _horner_by_t(p, images, max_degree)
     else:
         out = _horner(p.terms, images, max_degree)
@@ -385,28 +370,6 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     if nvars == p.nvars:
         return FreePoly._raw(rank, nvars, out)
     return FreePoly(rank, out, nvars)
-
-
-def _prefix_products(p: FreePoly, images, rank: int,
-                     max_degree: Optional[int], cache: Dict[Word, FreePoly]):
-    """Raw terms of p(images), each word's image product cached by prefix."""
-    if EMPTY_WORD not in cache:
-        cache[EMPTY_WORD] = FreePoly.const(rank, 1, None)
-    out: Dict[Word, object] = {}
-    for word, coeff in sorted(p.terms.items()):
-        prod = cache.get(word)
-        if prod is None:
-            # walk back to the longest cached prefix, then extend
-            k = len(word) - 1
-            while word[:k] not in cache:
-                k -= 1
-            prod = cache[word[:k]]
-            for letter in word[k:]:
-                k += 1
-                prod = f_mul(prod, images[letter - 1], max_degree)
-                cache[word[:k]] = prod
-        _mul_into(out, {EMPTY_WORD: coeff}, prod.terms, None)
-    return out
 
 
 def abelianize(p: FreePoly) -> LaurentPoly:

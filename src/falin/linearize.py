@@ -33,7 +33,7 @@ from .coefficients import LaurentPoly
 from .endo import (PolyMap, compose, conjugate_by_translation, invert,
                    linear_map, linear_part, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
-from .freealg import FreePoly, f_substitute, t_components
+from .freealg import EMPTY_WORD, FreePoly, _mul_into, f_mul, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
                     weight_decomposition)
 
@@ -117,7 +117,7 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  It holds
     exactly when the t-parts of gamma(tau(t)(gamma^-1(z_i))) are the
     t-components of sigma(t)(z_i) (_tau_conjugate_parts).  Every
-    substitution is scalar into scalar, sharing one prefix cache.
+    product is scalar by scalar, sharing one prefix cache.
     """
     n = action.rank
     cache = {}
@@ -155,16 +155,33 @@ def _tau_conjugate_parts(gamma: PolyMap, parts: dict, cache: dict):
     gamma and poly are scalar, and ``parts`` is _weight_parts(poly, M): the
     t^mu part is gamma substituted into the words of poly of weight mu.
     Distinct parts never cancel, and each is substituted only when the
-    caller asks for it, so a caller can stop between parts.  ``cache``
-    holds gamma's prefix products and may be shared across calls with the
-    same gamma.
+    caller asks for it, so a caller can stop between parts.  The parts are
+    small and their words share prefixes across parts and polynomials, so
+    each word is replaced by the product of its letters' images, and
+    ``cache`` keeps that product for every prefix formed; Horner form
+    (f_substitute) would multiply a shared prefix again for every part.
+    Pass one dict to every call with the same gamma.
     """
     n = gamma.rank
+    images = gamma.images
+    if not cache:
+        cache[EMPTY_WORD] = FreePoly.const(n, 1)
     for mu, terms in parts.items():
-        part = f_substitute(FreePoly._raw(n, None, terms), gamma.images,
-                            _cache=cache)
-        if part:
-            yield mu, part
+        out = {}
+        for word, coeff in sorted(terms.items()):
+            prod = cache.get(word)
+            if prod is None:
+                # walk back to the longest cached prefix, then extend
+                k = len(word) - 1
+                while word[:k] not in cache:
+                    k -= 1
+                prod = cache[word[:k]]
+                for letter in word[k:]:
+                    k += 1
+                    prod = cache[word[:k]] = f_mul(prod, images[letter - 1])
+            _mul_into(out, {EMPTY_WORD: coeff}, prod.terms, None)
+        if out:
+            yield mu, FreePoly._raw(n, None, out)
 
 
 def _require_axioms(action: TorusAction) -> None:

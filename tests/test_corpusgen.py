@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
@@ -53,11 +53,18 @@ REFUSED_SPECS = ([corpus_spec(seed) for seed in range(100, 300)]
 
 
 def composed_elementary(rank, seed, factors):
-    """alpha and alpha^-1 composed from gen_elementary factors (degree, target)."""
+    """alpha and alpha^-1 composed from gen_elementary factors (degree, target).
+
+    None when a composition's predicted cost passes the generator's
+    _COST_CAP: four degree-3 factors at rank 3 can otherwise exhaust memory.
+    """
     rng = random.Random(seed)
     alpha = alpha_inv = identity_map(rank)
     for degree, target in factors:
         fwd, back = gen_elementary(rank, rng, degree, target)
+        if max(substitution_cost(fwd, alpha),
+               substitution_cost(alpha_inv, back)) > _COST_CAP:
+            return None
         alpha = compose(fwd, alpha)
         alpha_inv = compose(alpha_inv, back)
     return alpha, alpha_inv
@@ -162,7 +169,9 @@ class TestConjugatedAction:
               [[0, 1, -2], [-1, 2, -3], [3, -1, 1]], 7))
     def test_early_stop_rejects_exactly_what_the_finished_map_would(self, case):
         rank, seed, factors, weights, cap = case
-        alpha, alpha_inv = composed_elementary(rank, seed, factors)
+        composed = composed_elementary(rank, seed, factors)
+        assume(composed is not None)
+        alpha, alpha_inv = composed
         try:
             expected = reference_conjugated_action(alpha, alpha_inv, weights,
                                                    cap)

@@ -163,9 +163,8 @@ class TestLaurentUnderScalarImages:
     def test_matches_term_by_term_reference(self, p, q, const, images,
                                             max_degree):
         p = p + const  # a constant term, unless const is zero
-        cache = {}     # shared across both calls, as compose shares it
         for poly in (p, q):
-            got = f_substitute(poly, images, max_degree, _cache=cache)
+            got = f_substitute(poly, images, max_degree)
             assert got == substitute_term_by_term(poly, images, max_degree)
             assert_canonical(got, poly.nvars)
 

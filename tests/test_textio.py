@@ -417,6 +417,9 @@ class TestVariablePowers:
         ("3*z1 ^ 2*t1 ^ -1 + t1^1*z1", "t1*z1 + 3*t1^-1*z1^2"),
         ("t1^00*z1", "z1"),
         ("z1^002", "z1^2"),
+        # products whose terms cancel
+        ("(z1 + 1)*(z1 - 1)", "-1 + z1^2"),
+        ("(t1 + 1)*(t1 - 1)*z1 + z1", "t1^2*z1"),
     ])
     def test_powers_parse(self, expr, image):
         doc = parse(f"rank 1\naction\nz1 -> {expr}\nend\n")
