@@ -204,9 +204,16 @@ def linearize(action: TorusAction,
     NotDiagonalizable for inputs whose linear part is not a torus
     representation, NotEffective (carrying the partial report) when the
     weight matrix is singular, and NotPolynomialInverseWithinBound if beta
-    fails to invert within degree deg(sigma); genuine effective actions
-    always admit the inverse within that bound, so the failure is surfaced
-    loudly rather than retried.
+    fails to invert within degree deg(sigma).  For an effective action that
+    bound always holds, so the failure is surfaced loudly rather than
+    retried.  On sigma moved to its fixed point (of the same degree), write
+    beta = P o Y and h = Y^-1.  Then sigma(t)(z_j) = h_j(t^{m_1} Y_1, ...),
+    so its t^mu component is g_{j,mu} = (h_j)_mu(Y), where (h_j)_mu keeps
+    the words of h_j of weight mu.  The weights are linearly independent,
+    so a word's weight fixes its letter counts and (h_j)_mu is homogeneous;
+    since Y = P^-1 z + (degree >= 2), the lowest-degree part of g_{j,mu} is
+    (h_j)_mu(P^-1 z), of the same degree.  Hence deg h <= deg sigma, and
+    beta^-1 = h o P^-1 has the degree of h.
     """
     if max_degree is not None and max_degree < 1:
         raise ValueError("degree bound must be at least 1")

@@ -34,10 +34,12 @@ Map documents may not mention t-variables.
 
 The parser holds every expression as one flat term map {(word,
 t-exponents): scalar} with no zero values; the t-exponents are () in a map
-document.  Sums add scalars per key, products concatenate words and add
-exponents (a single term takes in a variable factor by updating its one
-key), and each binding's FreePoly (with LaurentPoly coefficients in
-an action document) is built once, from the map of its whole expression.
+document.  Sums add scalars per key and products concatenate words and
+add exponents.  A run of "*"-joined variable factors is gathered into one
+monomial (letters and t-exponents) and taken in by re-keying every term of
+the left factor once, with no scalar product.  Each binding's FreePoly
+(with LaurentPoly coefficients in an action document) is built once, from
+the map of its whole expression.
 
 Printing produces the canonical form: free terms in graded-lex word
 order, Laurent terms in lexicographic exponent order, coefficients as
@@ -315,14 +317,20 @@ class _Parser:
             op = self.advance()
             plus = self.tokens[op] == "+"
             for key, c in self.term().items():
-                acc = terms.get(key, 0) + c if plus else terms.get(key, 0) - c
+                acc = terms.get(key)
+                if acc is None:
+                    acc = c if plus else -c
+                else:
+                    acc = acc + c if plus else acc - c
                 if not acc:
                     del terms[key]
-                elif max(abs(acc.numerator), acc.denominator) >= _SCALAR_BOUND:
+                elif (-_SCALAR_BOUND < acc < _SCALAR_BOUND if type(acc) is int
+                      else max(abs(acc.numerator), acc.denominator)
+                      < _SCALAR_BOUND):
+                    terms[key] = acc
+                else:
                     raise self.error(f"sum would form scalars of more than "
                                      f"{MAX_DIGITS} digits", op)
-                else:
-                    terms[key] = acc
         return terms
 
     def term(self):
@@ -330,13 +338,24 @@ class _Parser:
         length, count = _degree(terms), len(terms)
         while self.peek() == "*":
             star = self.advance()
-            if len(terms) == 1 and self.peek() in self.variables:
-                # a single term takes in a variable: (word, exps) times it
-                [((word, exps), c)] = terms.items()
-                key = self.variable(word, exps)
-                length += len(key[0]) - len(word)
-                self.check_expansion(length, count, star, height)
-                terms = {key: c}
+            if self.peek() in self.variables:
+                # a run of variable factors is one monomial, taken in by
+                # re-keying every term once; count and height stay, so past
+                # the run's first "*" only a "*" that adds letters can fail
+                letters, exps, first = [], list(self.t0), star
+                tokens, variables = self.tokens, self.variables
+                while True:
+                    grown = self.take_variable(letters, exps)
+                    length += grown
+                    if grown or star == first:
+                        self.check_expansion(length, count, star, height)
+                    star = self.pos
+                    if tokens[star] != "*" or tokens[star + 1] not in variables:
+                        break
+                    self.pos += 1
+                suffix, shift = tuple(letters), tuple(exps)
+                terms = {(word + suffix, tuple(map(add, e, shift))): c
+                         for (word, e), c in terms.items()}
             else:
                 rhs, rhs_height = self.factor()
                 length += _degree(rhs)
@@ -348,8 +367,15 @@ class _Parser:
 
     def factor(self):
         """Returns (terms, log2 of a bound on its H; see _log2_height)."""
-        if self.peek() in self.variables:
-            return {self.variable((), self.t0): 1}, 0.0
+        tok = self.peek()
+        if tok in self.variables:
+            letters, exps = [], list(self.t0)
+            self.take_variable(letters, exps)
+            return {(tuple(letters), tuple(exps)): 1}, 0.0
+        value = self.numerals.get(tok)
+        if value is not None and self.tokens[self.pos + 1] not in ("/", "^"):
+            self.advance()
+            return ({((), self.t0): value} if value else {}), math.log2(value or 1)
         terms, height = self.atom()
         if self.peek() != "^":
             return terms, height
@@ -376,8 +402,9 @@ class _Parser:
             result = _mul(result, terms)
         return result, math.log2(count or 1) + height
 
-    def variable(self, word, exps):
-        """The key (word, exps) times the variable token with its power."""
+    def take_variable(self, letters, exps) -> int:
+        """Take the variable token with its power into the monomial
+        (``letters``, ``exps``); returns the number of letters it adds."""
         at = self.advance()
         letter, index, power, caret = self.variables[self.tokens[at]]
         if letter == "t" and self.nvars is None:
@@ -389,15 +416,15 @@ class _Parser:
             self.advance()
             self.signed_int()
         if letter == "t":
-            exps = list(exps)
             exps[index - 1] += power
-            return word, tuple(exps)
+            return 0
         if caret is not None:
             if power < 1:
                 raise self.error("power of a z-variable must be a positive "
                                  "integer", at, caret)
             self.check_expansion(power, 1, at, offset=caret)
-        return word + (index,) * power, exps
+        letters += (index,) * power
+        return power
 
     def signed_int(self) -> int:
         negative = self.peek() == "-"

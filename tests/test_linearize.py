@@ -228,6 +228,14 @@ class TestLinearize:
         assert max(img.degree() for img in report.beta.images) <= ex_a.degree
         assert max(img.degree() for img in report.beta_inverse.images) <= ex_a.degree
 
+    def test_degree_bound_is_tight(self):
+        # corpus spec 26 is a rank-3 action of degree 3 whose beta^-1 also
+        # has degree 3, so deg beta^-1 <= deg sigma cannot be lowered there
+        action, _ = gen_action(corpus_spec(26))
+        report = linearize(action)
+        assert report.verified
+        assert action.degree == report.beta_inverse.degree() == 3
+
     def test_rejects_non_diagonal_linear_part(self):
         # z1 -> t1*z1 + t1*z2, z2 -> t2*z2: the weight t2 has no eigenvector
         doc = parse("rank 2\naction\nz1 -> t1*z1 + t1*z2\nz2 -> t2*z2\nend\n")

@@ -364,6 +364,76 @@ class TestParseAgainstArithmetic:
             assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
+
+def _run_terms(nvars):
+    """One term of the left factor: a rational or (action only) Laurent
+    coefficient times up to three z-powers."""
+    const = (lambda c: FreePoly.const(RANK, c, nvars))
+    rationals = st.builds(lambda n, d: (f"{n}/{d}", Fraction(n, d)),
+                          st.integers(-9, 9), st.integers(1, 4))
+    coeffs = rationals
+    if nvars is not None:
+        laurents = st.builds(
+            lambda a, b, exps: (f"({a} + {b}*t1^{exps[0]}*t2^{exps[1]})",
+                                LaurentPoly(RANK, {(0, 0): a}) + LaurentPoly(
+                                    RANK, {exps: b})),
+            st.integers(-3, 3), st.integers(-3, 3),
+            st.tuples(*[st.integers(-2, 2)] * RANK))
+        coeffs = rationals | laurents
+    zpowers = st.lists(st.tuples(st.integers(1, RANK), st.integers(1, 3)),
+                       max_size=3)
+    return st.builds(
+        lambda c, zs: ("*".join([c[0]] + [f"z{i}^{k}" for i, k in zs]),
+                       _product(const(c[1]), zs, nvars)),
+        coeffs, zpowers)
+
+
+def _product(value, zs, nvars):
+    for i, k in zs:
+        value = value * _power(FreePoly.gen(RANK, i, nvars), k)
+    return value
+
+
+def _run_factors(nvars):
+    """One factor of the run: a z-power or (action only) a t-power."""
+    zvars = st.builds(lambda i, k: (f"z{i}^{k}" if k > 1 else f"z{i}",
+                                    _power(FreePoly.gen(RANK, i, nvars), k)),
+                      st.integers(1, RANK), st.integers(1, 3))
+    if nvars is None:
+        return zvars
+    tvars = st.builds(
+        lambda i, k: (f"t{i}^{k}", FreePoly.const(RANK, LaurentPoly.var(
+            RANK, i, k), nvars)), st.integers(1, RANK), st.integers(-3, 3))
+    return zvars | tvars
+
+
+class TestRunOfVariables:
+    """A parenthesised sum of 1-6 terms, some of them cancelling pairs,
+    times a run of 1-5 variable factors: every key of the sum takes in
+    the whole run."""
+
+    @pytest.mark.parametrize("kind, nvars", [("action", RANK), ("map", None)])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sum_times_run_equals_arithmetic(self, kind, nvars, data):
+        terms = data.draw(st.lists(_run_terms(nvars), min_size=1, max_size=6))
+        texts, value = [terms[0][0]], terms[0][1]
+        for text, term in terms[1:]:
+            if data.draw(st.booleans()):   # a pair that cancels
+                texts += [f"+ {text}", f"- {text}"]
+            else:
+                texts.append(f"+ {text}")
+                value = value + term
+        run = data.draw(st.lists(_run_factors(nvars), min_size=1, max_size=5))
+        for _, factor in run:
+            value = value * factor
+        expr = f"({' '.join(texts)})*" + "*".join(text for text, _ in run)
+        doc = parse(f"rank {RANK}\n{kind}\nz1 -> {expr}\nz2 -> z2\nend\n")
+        image = doc.images()[0]
+        assert image == value
+        for c in _scalars(image):
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
 # -- tokenizer positions ------------------------------------------------
 
 class TestPositions:
@@ -522,6 +592,30 @@ class TestVariablePowers:
         finally:
             tracemalloc.stop()
         assert peak < 400_000
+
+
+class TestRunRefusals:
+    """Refusals inside a run of '*'-joined variable factors after a factor
+    of several terms (rank 2, z2 bound to itself)."""
+
+    @pytest.mark.parametrize("kind, expr, col, message", [
+        ("map", "(z1 + z2)*z1^6000*z2^5000", 24,
+         "expansion would build words of 11001 letters, more than 10000"),
+        ("map", "(z1 + z2)*z1*t1", 20,
+         "t-variables are not allowed in a map document"),
+        ("action", "(z1 + t1)*z1*z3", 20, "z3 exceeds rank 2"),
+        ("action", "(z1 + 1)*t1*z1^0", 21,
+         "power of a z-variable must be a positive integer"),
+        # H = V*L of the left factor already passes 1,000 digits, so the
+        # estimate refuses at the first '*' although z1 forms no scalar
+        ("action", f"({'9' * 999}*z1 + 1/{'7' * 999}*z2)*z1", 2018,
+         "expansion would form scalars of more than 1000 digits"),
+    ], ids=["word_length", "t_in_map", "rank", "z_power", "digits"])
+    def test_run_refusals(self, kind, expr, col, message):
+        with pytest.raises(ParseError) as err:
+            parse(f"rank 2\n{kind}\nz1 -> {expr}\nz2 -> z2\nend\n")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"3:{col}: {message}", 3, col)
 
 
 class TestPrint:
