@@ -25,6 +25,7 @@ pure, so concurrent readers need no synchronization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RankMismatch, ZeroTorusPoint
@@ -39,6 +40,15 @@ def normalize_scalar(value):
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def clear_denominators(values):
+    """(d, ints): the least common denominator d of ``values`` and their
+    multiples by d.  Exact stages scale once, then work over the integers."""
+    values = list(values)
+    # int has numerator and denominator too, so one expression serves both
+    d = lcm(*[x.denominator for x in values])
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 class LaurentPoly:

@@ -253,7 +253,8 @@ def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
     images = []
     for image_parts in parts:
         out = {}
-        for mu, part in _tau_conjugate_parts(alpha, image_parts, cache):
+        for mu, part in _tau_conjugate_parts([1] * n, alpha.images,
+                                             image_parts, cache):
             for word, c in part.terms.items():
                 coeff = out.get(word)
                 if coeff is None:

@@ -12,13 +12,13 @@ sensitive operation (conjugation by translations and by linear maps) is
 specified by the post-condition this convention induces, and the tests pin
 those post-conditions rather than any formula.
 
-Composing two scalar maps clears denominators once per composition: each
-image of g is scaled to integer coefficients, each image of f absorbs those
-scales and its own common denominator, the unchanged substitution runs over
-the integers, and each output term is divided once.  Scaling by nonzero
-constants changes no support and the arithmetic is exact, so the result is
-the same normalized map as a substitution over the rationals would give,
-without a gcd in every term product.
+Composing under a scalar g clears denominators once per composition: each
+image of g is scaled to integer coefficients, each image of f (each t-part
+of it, for Laurent f) absorbs those scales and its own common denominator,
+the unchanged substitution runs over the integers, and each output term is
+divided once.  Scaling by nonzero constants changes no support and the
+arithmetic is exact, so the result is the same normalized map as a
+substitution over the rationals would give, without a gcd in every product.
 
 ``invert`` takes scalar maps only, as beta and every map document are,
 raises ``SingularMatrix`` for a singular linear part, and removes a
@@ -28,13 +28,14 @@ constant part by a translation before inverting the rest.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Optional, Sequence
 
 from . import linalg
-from .coefficients import normalize_scalar
+from .coefficients import clear_denominators, normalize_scalar
 from .errors import NotPolynomialInverseWithinBound, RankMismatch
-from .freealg import EMPTY_WORD, FreePoly, f_substitute, merge_nvars
+from .freealg import (EMPTY_WORD, FreePoly, evaluate_by_t, f_substitute,
+                      merge_nvars)
 
 
 class PolyMap:
@@ -83,56 +84,63 @@ def identity_map(rank: int) -> PolyMap:
 def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     """compose(g, f)(z_i) = g(f(z_i)); linear parts obey A = A_f * A_g.
 
-    When both maps are scalar and some coefficient is not an ``int``, the
+    When g is scalar and some coefficient of g or f is not an ``int``, the
     denominators are cleared first: g_j becomes D_j g_j with integer
-    coefficients, the coefficient c_w of f_i becomes L_i c_w / D_w, where D_w
-    is the product of D_j over the letters of w and L_i clears what is left,
-    and every output term of the integer substitution is divided by L_i.
-    Since f_i(g) = (1/L_i) sum_w (L_i c_w / D_w) prod_k D_{w_k} g_{w_k}, the
-    result is exact, and ``max_degree`` cuts the same words.  Every scalar
-    result stores ``int`` where integral and no zeros.
+    coefficients, the coefficient c_w of f_i (of each t-part of f_i, for
+    Laurent f) becomes L c_w / D_w, where D_w is the product of D_j over the
+    letters of w and L clears what is left, and every output term of the
+    integer substitution is divided by L.  Since
+    f_i(g) = (1/L) sum_w (L c_w / D_w) prod_k D_{w_k} g_{w_k}, the result is
+    exact, and ``max_degree`` cuts the same words.  Every scalar result
+    stores ``int`` where integral and no zeros.
     """
     if g.rank != f.rank:
         raise RankMismatch(f"ranks {g.rank} and {f.rank} differ")
-    if (g.nvars is None and f.nvars is None
-            and not all(type(c) is int for m in (g, f) for img in m.images
-                        for c in img.terms.values())):
-        return _compose_cleared(g, f, max_degree)
-    return PolyMap([f_substitute(img, g.images, max_degree)
+    if g.nvars is not None or all(
+            type(c) is int for m in (g, f) for img in m.images
+            for coeff in img.terms.values()
+            for c in (coeff.terms.values() if m.nvars else (coeff,))):
+        return PolyMap([f_substitute(img, g.images, max_degree)
+                        for img in f.images])
+    scales, images = cleared_images(g)
+
+    def part(terms):
+        common, cleared = absorb_scales(terms, scales)
+        got = f_substitute(FreePoly._raw(g.rank, None, cleared), images,
+                           max_degree)
+        return divide_terms(got.terms, common)
+
+    return PolyMap([FreePoly._raw(g.rank, img.nvars, evaluate_by_t(img, part)
+                                  if img.nvars else part(img.terms))
                     for img in f.images])
 
 
-def _compose_cleared(g: PolyMap, f: PolyMap,
-                     max_degree: Optional[int]) -> PolyMap:
-    """Scalar compose(g, f) over integer images (see compose)."""
-    # int has numerator and denominator too, so one expression serves both
-    scales = []
-    images = []
+def cleared_images(g: PolyMap):
+    """(scales, images): images[j] = scales[j] * g_j, integer coefficients."""
+    scales, images = [], []
     for img in g.images:
-        d = lcm(*[c.denominator for c in img.terms.values()])
+        d, ints = clear_denominators(img.terms.values())
         scales.append(d)
-        images.append(FreePoly._raw(img.rank, None, {
-            w: c.numerator * (d // c.denominator)
-            for w, c in img.terms.items()}))
-    out = []
-    for img in f.images:
-        absorbed = {}
-        for w, c in img.terms.items():
-            d = c.denominator
-            for letter in w:
-                d *= scales[letter - 1]
-            absorbed[w] = Fraction(c.numerator, d)
-        common = lcm(*[c.denominator for c in absorbed.values()])
-        cleared = FreePoly._raw(img.rank, None, {
-            w: c.numerator * (common // c.denominator)
-            for w, c in absorbed.items()})
-        result = f_substitute(cleared, images, max_degree)
-        if common != 1:
-            result = FreePoly._raw(result.rank, None, {
-                w: normalize_scalar(Fraction(c, common))
-                for w, c in result.terms.items()})
-        out.append(result)
-    return PolyMap(out)
+        images.append(FreePoly._raw(img.rank, None, dict(zip(img.terms, ints))))
+    return scales, images
+
+
+def absorb_scales(terms, scales):
+    """(L, {w: L c_w / D_w}), D_w the product of scales over the letters of
+    w: those integer terms under cleared_images, divided by L
+    (divide_terms), are the terms under the original images."""
+    absorbed = []
+    for w, c in terms.items():
+        d = c.denominator * prod([scales[letter - 1] for letter in w])
+        absorbed.append(c if d == 1 else Fraction(c.numerator, d))
+    common, ints = clear_denominators(absorbed)
+    return common, dict(zip(terms, ints))
+
+
+def divide_terms(terms, d: int):
+    """The term map with every value divided by d, in stored form."""
+    return terms if d == 1 else {
+        w: normalize_scalar(Fraction(c, d)) for w, c in terms.items()}
 
 
 def linear_part(f: PolyMap) -> list:

@@ -316,17 +316,17 @@ def t_components(poly: FreePoly) -> dict:
             for m, terms in parts.items()}
 
 
-def _horner_by_t(p: FreePoly, images, max_degree: Optional[int]):
+def evaluate_by_t(p: FreePoly, evaluate) -> Dict[Word, LaurentPoly]:
     """Raw terms of p(images) for Laurent ``p`` and scalar images.
 
     With p = sum_m t^m p_m and every p_m scalar, p(g) = sum_m t^m p_m(g):
-    each t-part is evaluated in Horner form over scalars, so no Laurent
-    coefficient enters a product, and distinct t-parts never cancel.
+    ``evaluate`` maps the term map of one t-part to the raw terms of its
+    image, so no Laurent coefficient enters a product, and distinct t-parts
+    never cancel.
     """
     out: Dict[Word, LaurentPoly] = {}
     for m, part in t_components(p).items():
-        terms = part.terms
-        for word, c in _horner(terms, images, max_degree).items():
+        for word, c in evaluate(part.terms).items():
             coeff = out.get(word)
             if coeff is None:
                 coeff = out[word] = LaurentPoly(p.nvars)
@@ -362,7 +362,7 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     if rank is None:
         rank = p.rank
     if p.nvars is not None and all(img.nvars is None for img in images):
-        out = _horner_by_t(p, images, max_degree)
+        out = evaluate_by_t(p, lambda part: _horner(part, images, max_degree))
     else:
         out = _horner(p.terms, images, max_degree)
     # only a scalar p under Laurent images can mix kinds (its constant

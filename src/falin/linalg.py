@@ -1,13 +1,14 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of lists of exact rationals, ``int`` or ``Fraction``.
-``rref`` is the one elimination routine: it converts its input to
-``Fraction`` before it eliminates, so no division of two ``int`` entries
-ever yields a float, and its results (and those of ``solve_particular``
-and ``inverse``, which are built on it) are ``Fraction`` throughout.  It is
-plain Gauss-Jordan elimination with no pivoting strategy beyond "first
-nonzero"; exact arithmetic needs no numerical pivoting.  ``rref`` takes
-rows of one width and reads it off the first row.  ``inverse`` raises
+``rref`` is the one elimination routine: it scales each row to integers
+once and eliminates over the integers, so no product pays for a gcd and no
+division of two ``int`` entries ever yields a float, and its results (and
+those of ``solve_particular`` and ``inverse``, which are built on it) are
+``Fraction`` throughout, one per entry, formed at the end.  It is
+fraction-free Gauss-Jordan elimination with no pivoting strategy beyond
+"first nonzero"; exact arithmetic needs no numerical pivoting.  ``rref``
+takes rows of one width and reads it off the first row.  ``inverse`` raises
 ``SingularMatrix`` for a matrix that is not square as well as for a
 singular one.
 """
@@ -15,8 +16,9 @@ singular one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .coefficients import normalize_scalar
+from .coefficients import clear_denominators, normalize_scalar
 from .errors import SingularMatrix
 
 
@@ -25,32 +27,36 @@ def identity(n: int) -> list:
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(normalize_scalar(x)) for x in row] for row in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    A row holding b at pivot p becomes (p*row - b*pivot_row) / gcd(p, b),
+    divided by its content; each pivot row is divided by p at the end.
+    """
+    m = [clear_denominators([normalize_scalar(x) for x in row])[1]
+         for row in rows]
     if not m:
         return [], []
     pivots = []
     r = 0
     for c in range(len(m[0])):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        pivot = m[r]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                g = gcd(pivot[c], m[i][c])
+                a, b = pivot[c] // g, m[i][c] // g
+                row = [a * x - b * y for x, y in zip(m[i], pivot)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return ([[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)],
+            pivots)
 
 
 def solve_particular(a, b):

@@ -30,8 +30,9 @@ from typing import Optional
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import (PolyMap, compose, conjugate_by_translation, invert,
-                   linear_map, linear_part, translation_map)
+from .endo import (PolyMap, absorb_scales, cleared_images, compose,
+                   conjugate_by_translation, divide_terms, invert, linear_map,
+                   linear_part, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
 from .freealg import EMPTY_WORD, FreePoly, _mul_into, f_mul, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
@@ -117,9 +118,10 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  It holds
     exactly when the t-parts of gamma(tau(t)(gamma^-1(z_i))) are the
     t-components of sigma(t)(z_i) (_tau_conjugate_parts).  Every
-    product is scalar by scalar, sharing one prefix cache.
+    product is integer by integer, sharing one prefix cache.
     """
     n = action.rank
+    scales, images = cleared_images(gamma)
     cache = {}
     for i, img in enumerate(action.map.images):
         inverse = FreePoly.const(n, report.fixed_point[i])
@@ -127,7 +129,7 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
             if p:
                 inverse = inverse + report.beta_inverse.images[j].scale(p)
         got = dict(_tau_conjugate_parts(
-            gamma, _weight_parts(inverse, report.weights), cache))
+            scales, images, _weight_parts(inverse, report.weights), cache))
         if got != t_components(img):
             return False
     return True
@@ -149,26 +151,28 @@ def _weight_parts(poly: FreePoly, weights) -> dict:
     return parts
 
 
-def _tau_conjugate_parts(gamma: PolyMap, parts: dict, cache: dict):
+def _tau_conjugate_parts(scales, images, parts: dict, cache: dict):
     """Yield (mu, part) for the nonzero t^mu parts of gamma(tau(t)(poly)).
 
-    gamma and poly are scalar, and ``parts`` is _weight_parts(poly, M): the
-    t^mu part is gamma substituted into the words of poly of weight mu.
-    Distinct parts never cancel, and each is substituted only when the
+    gamma and poly are scalar, images[j] = scales[j] * gamma_j (scales of 1
+    for the generator's integer alpha), and ``parts`` is _weight_parts(poly,
+    M): the t^mu part is gamma substituted into the words of poly of weight
+    mu.  Distinct parts never cancel, and each is substituted only when the
     caller asks for it, so a caller can stop between parts.  The parts are
     small and their words share prefixes across parts and polynomials, so
     each word is replaced by the product of its letters' images, and
     ``cache`` keeps that product for every prefix formed; Horner form
     (f_substitute) would multiply a shared prefix again for every part.
-    Pass one dict to every call with the same gamma.
+    Products and sums run over the integers (endo.absorb_scales), and each
+    term is divided once.  Pass one dict to every call with the same images.
     """
-    n = gamma.rank
-    images = gamma.images
+    n = len(images)
     if not cache:
         cache[EMPTY_WORD] = FreePoly.const(n, 1)
     for mu, terms in parts.items():
+        common, cleared = absorb_scales(terms, scales)
         out = {}
-        for word, coeff in sorted(terms.items()):
+        for word, coeff in sorted(cleared.items()):
             prod = cache.get(word)
             if prod is None:
                 # walk back to the longest cached prefix, then extend
@@ -181,7 +185,7 @@ def _tau_conjugate_parts(gamma: PolyMap, parts: dict, cache: dict):
                     prod = cache[word[:k]] = f_mul(prod, images[letter - 1])
             _mul_into(out, {EMPTY_WORD: coeff}, prod.terms, None)
         if out:
-            yield mu, FreePoly._raw(n, None, out)
+            yield mu, FreePoly._raw(n, None, divide_terms(out, common))
 
 
 def _require_axioms(action: TorusAction) -> None:

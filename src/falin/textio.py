@@ -339,16 +339,16 @@ class _Parser:
         while self.peek() == "*":
             star = self.advance()
             if self.peek() in self.variables:
-                # a run of variable factors is one monomial, taken in by
-                # re-keying every term once; count and height stay, so past
-                # the run's first "*" only a "*" that adds letters can fail
+                # a run of variable factors is one monomial, re-keying every
+                # term once; it forms no scalar, so its "*"s check no height,
+                # and past the first only a "*" that adds letters can fail
                 letters, exps, first = [], list(self.t0), star
                 tokens, variables = self.tokens, self.variables
                 while True:
                     grown = self.take_variable(letters, exps)
                     length += grown
                     if grown or star == first:
-                        self.check_expansion(length, count, star, height)
+                        self.check_expansion(length, count, star)
                     star = self.pos
                     if tokens[star] != "*" or tokens[star + 1] not in variables:
                         break

@@ -20,10 +20,12 @@ written over 2n variables, t in slots 0..n-1 and s in slots n..2n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from . import linalg
-from .coefficients import LaurentPoly, normalize_scalar
+from .coefficients import LaurentPoly, clear_denominators, normalize_scalar
 from .endo import PolyMap, constant_part
 from .errors import (FixedPointNotFound, NotDiagonalizable, RankMismatch,
                      ZeroTorusPoint)
@@ -207,22 +209,31 @@ def translated_constant_part(map_: PolyMap, c: Sequence):
     """Constant part of the translation conjugate, without building it.
 
     Yields, entry by entry, f_i evaluated at z = c minus c_i; all entries
-    vanish exactly when c is a fixed point of the abelianized action.
-    Entries are computed lazily, so ``not any(...)`` stops at the first
-    nonzero one.
+    vanish exactly when c is a fixed point of the abelianized action.  It is
+    checked over the integers: with D clearing c and k = deg f_i, the t^m
+    part of D^k (f_i(c) - c_i) sums c_{w,m} prod_{l in w} (D c_l) D^(k-|w|),
+    each c_{w,m} scaled to an integer once, and is divided once.  Entries are
+    computed lazily, so ``not any(...)`` stops at the first nonzero one.
     """
     c = [normalize_scalar(x) for x in c]
+    d, point = clear_denominators(c)
+    nvars = map_.nvars or 0  # a scalar is the coefficient of t^()
     for i, img in enumerate(map_.images):
-        total = 0
+        top = max(img.degree(), 0)
+        flat = [((0,) * nvars, d ** top, -c[i])]  # (t^m, D-weight, coeff)
         for word, coeff in img.terms.items():
-            factor = 1
-            for letter in word:
-                factor *= c[letter - 1]
-                if not factor:
-                    break
-            if factor:
-                total = coeff * factor + total
-        yield total - c[i]
+            value = prod([point[x - 1] for x in word],
+                         start=d ** (top - len(word)))
+            if value:
+                flat += [(m, value, x) for m, x in (
+                    coeff.terms.items() if nvars else [((), coeff)])]
+        e, ints = clear_denominators([x for _, _, x in flat])
+        sums = {}
+        for (m, value, _), a in zip(flat, ints):
+            sums[m] = sums.get(m, 0) + a * value
+        entry = LaurentPoly(nvars, {m: Fraction(x, e * d ** top)
+                                    for m, x in sums.items()})
+        yield entry if nvars else entry.constant_coeff()
 
 
 def fixed_point(action: TorusAction) -> tuple:

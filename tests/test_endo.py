@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
@@ -18,6 +18,8 @@ from falin.freealg import f_substitute
 
 from helpers import rand_fraction, rand_scalar_map
 from test_acceptance import corpus_spec
+from test_freealg import (assert_stored_form, laurent_polys,
+                          substitute_by_word_products)
 
 
 def P(rank, terms, nvars=None):
@@ -107,6 +109,70 @@ class TestComposeRational:
             for c in img.terms.values():
                 assert c != 0
                 assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def laurent_maps(rank):
+    """Laurent maps over 2 torus variables with rational coefficients."""
+    return st.lists(laurent_polys(rank), min_size=rank, max_size=rank).map(
+        PolyMap)
+
+
+def scalar_laurent_pairs():
+    return st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(rational_maps(rank), laurent_maps(rank)))
+
+
+T1 = LaurentPoly.var(2, 1)
+T2 = LaurentPoly.var(2, 2)
+HALF = FreePoly(2, {(): Fraction(1, 2)})
+
+
+class TestComposeLaurentUnderRational:
+    """A Laurent f under scalar g is composed one t-part at a time over the
+    integers, against products along each word."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scalar_laurent_pairs(), st.one_of(st.none(), st.integers(0, 4)))
+    # the whole t1 part cancels, since g1 = g2
+    @example((PolyMap([P(2, {(1,): 1}) + HALF, P(2, {(1,): 1}) + HALF]),
+              PolyMap([FreePoly(2, {(1, 2): T1, (2, 2): -T1,
+                                    (1,): T2 * Fraction(1, 3)}, 2)] * 2)),
+             None)
+    # 3/2 t1 z1 under z1 -> 2/3 z1 is t1 z1: the integer 1 over L = 2
+    @example((PolyMap([P(2, {(1,): Fraction(2, 3)}), P(2, {(2,): 1})]),
+              PolyMap([FreePoly(2, {(1,): T1 * Fraction(3, 2)}, 2)] * 2)),
+             2)
+    def test_matches_word_products_in_stored_form(self, pair, max_degree):
+        g, f = pair
+        got = compose(g, f, max_degree)
+        assert got == PolyMap([
+            substitute_by_word_products(img, g.images, max_degree)
+            for img in f.images])
+        for img in got.images:
+            assert_stored_form(img, f.nvars)
+            for coeff in img.terms.values():
+                for c in coeff.terms.values():
+                    assert c != 0
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
+
+    def test_products_are_integer(self, monkeypatch):
+        seen = []
+        mul_into = freealg._mul_into
+
+        def spy(out, a_terms, b_terms, max_degree):
+            seen.extend(a_terms.values())
+            seen.extend(b_terms.values())
+            return mul_into(out, a_terms, b_terms, max_degree)
+
+        monkeypatch.setattr(freealg, "_mul_into", spy)
+        f = PolyMap([FreePoly(2, {(1, 2): T1 * Fraction(2, 5), (2,): T1}, 2),
+                     FreePoly(2, {(2, 1, 1): T2}, 2)])
+        g = translation_map(2, [Fraction(1, 3), -2])
+        expected = PolyMap([substitute_by_word_products(img, g.images)
+                            for img in f.images])
+        seen.clear()
+        assert compose(g, f) == expected
+        assert seen and all(type(c) is int for c in seen)
 
 
 class TestParts:

@@ -20,7 +20,7 @@ from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
 from falin import freealg, linalg
 from falin.freealg import f_substitute
 from falin.corpusgen import conjugated_action
-from falin.endo import linear_map, translation_map
+from falin.endo import cleared_images, linear_map, translation_map
 from falin.errors import NotDiagonalizable
 
 from helpers import rank45_actions
@@ -438,7 +438,8 @@ class TestTauConjugateParts:
                 part = f_substitute(FreePoly(poly.rank, terms), gamma.images)
                 if part:
                     expected[mu] = part
-            got = module._tau_conjugate_parts(gamma, parts, cache)
+            got = module._tau_conjugate_parts(*cleared_images(gamma), parts,
+                                              cache)
             assert dict(got) == expected
 
 

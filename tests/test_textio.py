@@ -598,6 +598,8 @@ class TestRunRefusals:
     """Refusals inside a run of '*'-joined variable factors after a factor
     of several terms (rank 2, z2 bound to itself)."""
 
+    N, M = int("9" * 999), int("7" * 999)  # 999-digit numerals
+
     @pytest.mark.parametrize("kind, expr, col, message", [
         ("map", "(z1 + z2)*z1^6000*z2^5000", 24,
          "expansion would build words of 11001 letters, more than 10000"),
@@ -606,9 +608,9 @@ class TestRunRefusals:
         ("action", "(z1 + t1)*z1*z3", 20, "z3 exceeds rank 2"),
         ("action", "(z1 + 1)*t1*z1^0", 21,
          "power of a z-variable must be a positive integer"),
-        # H = V*L of the left factor already passes 1,000 digits, so the
-        # estimate refuses at the first '*' although z1 forms no scalar
-        ("action", f"({'9' * 999}*z1 + 1/{'7' * 999}*z2)*z1", 2018,
+        # H = V*L of the left factor is past 1,000 digits, and a factor
+        # that is not a variable multiplies its scalars
+        ("action", f"({N}*z1 + 1/{M}*z2)*(z1 + 1)", 2018,
          "expansion would form scalars of more than 1000 digits"),
     ], ids=["word_length", "t_in_map", "rank", "z_power", "digits"])
     def test_run_refusals(self, kind, expr, col, message):
@@ -616,6 +618,16 @@ class TestRunRefusals:
             parse(f"rank 2\n{kind}\nz1 -> {expr}\nz2 -> z2\nend\n")
         assert (str(err.value), err.value.line, err.value.col) == (
             f"3:{col}: {message}", 3, col)
+
+    def test_run_after_wide_factor_forms_no_scalar(self):
+        # the left factor's H = V*L is past 1,000 digits, but its scalars
+        # N and 1/M are not, and a run of variables forms no new one
+        n, m = self.N, self.M
+        doc = parse(f"rank 2\naction\nz1 -> ({n}*z1 + 1/{m}*z2)*z1\n"
+                    f"z2 -> z2\nend\n")
+        text = f"rank 2\naction\nz1 -> {n}*z1^2 + 1/{m}*z2*z1\nz2 -> z2\nend\n"
+        assert render(doc) == text
+        assert parse(text) == doc
 
 
 class TestPrint:

@@ -334,6 +334,56 @@ class TestFixedPoint:
                        for r in translated_constant_part(moved.map, center))
 
 
+def naive_constant_part(map_, c):
+    """Reference: each image summed word by word over Fractions."""
+    for i, img in enumerate(map_.images):
+        total = -Fraction(c[i])
+        for word, coeff in img.terms.items():
+            factor = Fraction(1)
+            for letter in word:
+                factor *= c[letter - 1]
+            total = coeff * factor + total
+        yield total
+
+
+SCALARS = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def maps_and_points(draw):
+    """A scalar or Laurent map (2 torus variables) at ranks 1-3, and a point
+    whose entries may be zero, negative, integers or fractions."""
+    rank = draw(st.integers(1, 3))
+    nvars = draw(st.sampled_from([None, 2]))
+    coeff = SCALARS if nvars is None else st.dictionaries(
+        st.tuples(*[st.integers(-1, 1)] * 2), SCALARS, max_size=3).map(
+        lambda terms: LaurentPoly(2, terms))
+    word = st.lists(st.integers(1, rank), max_size=3).map(tuple)
+    images = draw(st.lists(st.dictionaries(word, coeff, max_size=4).map(
+        lambda terms: FreePoly(rank, terms, nvars)),
+        min_size=rank, max_size=rank))
+    return PolyMap(images), draw(st.lists(SCALARS, min_size=rank,
+                                          max_size=rank))
+
+
+class TestTranslatedConstantPart:
+    @settings(max_examples=150, deadline=None)
+    @given(maps_and_points())
+    def test_matches_fraction_evaluation(self, case):
+        map_, point = case
+        got = list(translated_constant_part(map_, point))
+        assert got == list(naive_constant_part(map_, point))
+        for value in got:
+            if map_.nvars is None:
+                assert type(value) is (int if value.denominator == 1
+                                       else Fraction)
+            else:
+                assert isinstance(value, LaurentPoly)
+                assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                           and c for c in value.terms.values())
+
+
 class TestIdentityLinearPartRigidity:
     def test_unipotent_families_are_never_actions(self):
         # a family with identity linear part and nonzero higher terms cannot
