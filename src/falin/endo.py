@@ -34,8 +34,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .coefficients import clear_denominators, normalize_scalar
 from .errors import NotPolynomialInverseWithinBound, RankMismatch
-from .freealg import (EMPTY_WORD, FreePoly, evaluate_by_t, f_substitute,
-                      merge_nvars)
+from .freealg import (EMPTY_WORD, FreePoly, _mul_into, evaluate_by_t,
+                      f_substitute, merge_nvars)
 
 
 class PolyMap:
@@ -143,6 +143,25 @@ def divide_terms(terms, d: int):
         w: normalize_scalar(Fraction(c, d)) for w, c in terms.items()}
 
 
+def linear_combinations(matrix, g: PolyMap) -> list:
+    """The images sum_j matrix[i][j] g_j of a scalar map g, one per row.
+
+    For a square matrix these are the images of compose(g, linear_map(n,
+    matrix)), formed over the integers as compose forms them, without
+    building the linear map, and returned in stored form.
+    """
+    scales, images = cleared_images(g)
+    out = []
+    for row in matrix:
+        common, ints = absorb_scales(
+            {(j,): c for j, c in enumerate(row, 1) if c}, scales)
+        terms = {}
+        for (j,), a in ints.items():
+            _mul_into(terms, {EMPTY_WORD: a}, images[j - 1].terms, None)
+        out.append(FreePoly._raw(g.rank, None, divide_terms(terms, common)))
+    return out
+
+
 def linear_part(f: PolyMap) -> list:
     """Matrix with entry (i, j) = coefficient of the word z_j in image i."""
     return [[img.coeff((j,)) for j in range(1, f.rank + 1)] for img in f.images]
@@ -153,29 +172,27 @@ def constant_part(f: PolyMap) -> list:
     return [img.constant_coeff() for img in f.images]
 
 
-def _homogeneous_part(p: FreePoly, k: int) -> FreePoly:
-    return FreePoly._raw(p.rank, p.nvars,
-                         {w: c for w, c in p.terms.items() if len(w) == k})
-
-
 def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
-    """Two-sided inverse of an automorphism over the scalars, degree by degree.
+    """Two-sided inverse of an automorphism over the scalars.
 
     A map with Laurent coefficients raises ``RankMismatch`` before any work,
     and a singular linear part raises ``linalg.inverse``'s ``SingularMatrix``.
 
     A constant part b is removed by a translation first: with f = f0 + b,
-    f^-1(z) = f0^-1(z - b), so the inverse of f0 is composed with
-    translation_map(n, -b).  f0 is inverted in the degree-truncated
-    power-series completion: starting from the inverse of the linear part,
-    each pass cancels the lowest remaining error of compose(h, f0).  That
-    residual is formed once per correction, truncated at ``max_degree``,
-    which keeps every part of degree up to the bound exact.  If after
-    ``max_degree`` passes the residual is still nonzero, f has no polynomial
-    inverse within the bound.  The returned map satisfies compose(h, f) =
-    compose(f, h) = identity exactly (verified on f itself, not assumed);
-    the last residual stands in for compose(h, f) only when f has no
-    constant part and no product in it can have been cut.
+    f^-1(z) = f0^-1(z - b).  f0, with linear part A, is inverted in the
+    degree-truncated power-series completion from h = A^-1 z.  Each pass
+    forms the residual r = compose(h, f0) - id, truncated at ``max_degree``
+    (which keeps every degree up to the bound exact), and sets h -= A^-1 r.
+    compose(h - c, f0) = compose(h, f0) - A c up to degrees above the lowest
+    of c, so that cancels all of r and makes h exact in one more degree; r
+    starts in degree 2, so ``max_degree`` - 1 passes suffice.  h = A^-1 q
+    is formed from q = A h over the integers (linear_combinations), so it
+    is in stored form; h - A^-1 r itself can sum two Fractions to an
+    integral one.  The result satisfies compose(h, f) = compose(f, h)
+    = identity exactly (verified on f itself, not assumed), or f has no
+    polynomial inverse within the bound; a zero residual stands in for
+    compose(h, f) only when f has no constant part and deg h * deg f <=
+    ``max_degree``, so that no product in it was cut.
 
     ``max_degree`` defaults to the degree of f itself; the linearization
     pipeline passes the degree of the action, which bounds that of beta^-1.
@@ -191,33 +208,19 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     f0 = f if not any(b) else PolyMap([
         img - FreePoly.const(f.rank, x) for img, x in zip(f.images, b)])
     ident = identity_map(f.rank)
-    h = linear_map(f.rank, inv_matrix)
-    error = None  # compose(h, f0) truncated at max_degree, for the current h
-    for k in range(2, max_degree + 1):
-        # compose(h, f0)_i = f0_i(h(z)); perturbing h by a homogeneous c of
-        # degree k changes that by -A c + O(k+1), so c = A^-1 * (error part)
-        if error is None:
-            error = compose(h, f0, max_degree=max_degree)
-        bad = [_homogeneous_part(error.images[i] - ident.images[i], k)
-               for i in range(f.rank)]
-        if not any(bad):
-            continue
-        images = []
-        for i in range(f.rank):
-            correction = FreePoly.zero(f.rank)
-            for j in range(f.rank):
-                if inv_matrix[i][j] and bad[j]:
-                    correction = correction + bad[j].scale(inv_matrix[i][j])
-            images.append(h.images[i] - correction)
-        # the constructor stores the integral Fractions of the scaling as int
-        h = PolyMap([FreePoly(f.rank, img.terms) for img in images])
-        error = None
+    q, h = ident, linear_map(f.rank, inv_matrix)  # h = A^-1 q throughout
+    exact = False  # whether the zero residual is compose(h, f) itself
+    for _ in range(max_degree - 1):
+        error = compose(h, f0, max_degree=max_degree)
+        if error == ident:
+            exact = not any(b) and h.degree() * f.degree() <= max_degree
+            break
+        q = PolyMap([p - e + z for p, e, z in
+                     zip(q.images, error.images, ident.images)])
+        h = PolyMap(linear_combinations(inv_matrix, q))
     if any(b):
         h = compose(translation_map(f.rank, [-x for x in b]), h)
-        error = None
-    if error is None or h.degree() * f.degree() > max_degree:
-        error = compose(h, f)
-    if error != ident or compose(f, h) != ident:
+    if not exact and compose(h, f) != ident or compose(f, h) != ident:
         raise NotPolynomialInverseWithinBound(
             f"no polynomial inverse of degree <= {max_degree}")
     return h

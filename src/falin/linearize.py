@@ -31,8 +31,9 @@ from typing import Optional
 from . import linalg
 from .coefficients import LaurentPoly
 from .endo import (PolyMap, absorb_scales, cleared_images, compose,
-                   conjugate_by_translation, divide_terms, invert, linear_map,
-                   linear_part, translation_map)
+                   conjugate_by_translation, divide_terms, invert,
+                   linear_combinations, linear_map, linear_part,
+                   translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
 from .freealg import EMPTY_WORD, FreePoly, _mul_into, f_mul, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
@@ -83,15 +84,11 @@ def _weight_components(action: TorusAction, base_change, weights) -> PolyMap:
     n = action.rank
     inverse = linalg.inverse(base_change)
     components = [t_components(img) for img in action.map.images]
-    images = []
-    for i in range(n):
-        m = tuple(weights[i])
-        y = FreePoly.zero(n)
-        for j, parts in enumerate(components):
-            if inverse[i][j] and m in parts:
-                y = y + parts[m].scale(inverse[i][j])
-        images.append(y)
-    return PolyMap(images)
+    zero = FreePoly.zero(n)
+    return PolyMap([
+        linear_combinations([row], PolyMap(
+            [parts.get(tuple(m), zero) for parts in components]))[0]
+        for row, m in zip(inverse, weights)])
 
 
 def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
@@ -117,19 +114,16 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
     sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  It holds
     exactly when the t-parts of gamma(tau(t)(gamma^-1(z_i))) are the
-    t-components of sigma(t)(z_i) (_tau_conjugate_parts).  Every
-    product is integer by integer, sharing one prefix cache.
+    t-components of sigma(t)(z_i) (_tau_conjugate_parts).  gamma^-1 is
+    formed by endo.linear_combinations, and every product is integer by
+    integer, sharing one prefix cache.
     """
-    n = action.rank
     scales, images = cleared_images(gamma)
     cache = {}
-    for i, img in enumerate(action.map.images):
-        inverse = FreePoly.const(n, report.fixed_point[i])
-        for j, p in enumerate(report.base_change[i]):
-            if p:
-                inverse = inverse + report.beta_inverse.images[j].scale(p)
+    inverse = linear_combinations(report.base_change, report.beta_inverse)
+    for img, inv, c in zip(action.map.images, inverse, report.fixed_point):
         got = dict(_tau_conjugate_parts(
-            scales, images, _weight_parts(inverse, report.weights), cache))
+            scales, images, _weight_parts(inv + c, report.weights), cache))
         if got != t_components(img):
             return False
     return True
@@ -205,10 +199,12 @@ def linearize(action: TorusAction,
     a non-action raises AxiomsFail (with witness) whichever stage noticed.
     Genuine actions raise FixedPointNotFound when the point read off the
     t-constant part is not fixed (proof that the action is not effective),
-    NotDiagonalizable for inputs whose linear part is not a torus
-    representation, NotEffective (carrying the partial report) when the
-    weight matrix is singular, and NotPolynomialInverseWithinBound if beta
-    fails to invert within degree deg(sigma).  For an effective action that
+    NotEffective (carrying the partial report) when the weight matrix is
+    singular, and NotPolynomialInverseWithinBound if beta fails to invert
+    within degree deg(sigma).  They never raise NotDiagonalizable: at a
+    verified fixed point the linear part of an action is a torus
+    representation, which diagonalizes, so that error comes only from a
+    non-action and becomes AxiomsFail.  For an effective action that
     bound always holds, so the failure is surfaced loudly rather than
     retried.  On sigma moved to its fixed point (of the same degree), write
     beta = P o Y and h = Y^-1.  Then sigma(t)(z_j) = h_j(t^{m_1} Y_1, ...),

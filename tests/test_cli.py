@@ -1,8 +1,12 @@
 """CLI exit codes, determinism, and output equality."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falin.cli import run
 from falin.errors import InternalInvariant
@@ -354,3 +358,40 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli_mod, "linearize", boom)
         assert run(["linearize", ex_a_file]) == 3
+
+
+@st.composite
+def small_documents(draw):
+    """A map or action document of rank <= 3: each image has <= 3 terms,
+    each word <= 2 letters, and each t-power lies in -1..2."""
+    rank = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["action", "map"]))
+    scalar = st.sampled_from(["1", "2", "1/2", "3/4"])
+    word = st.lists(st.integers(1, rank).map("z{}".format), max_size=2)
+    t_powers = st.just([])
+    if kind == "action":
+        t_powers = st.lists(st.integers(-1, 2), min_size=rank,
+                            max_size=rank).map(lambda exps: [
+                                f"t{k}^{e}" for k, e in enumerate(exps, 1) if e])
+    term = st.tuples(st.sampled_from(["+", "-"]), scalar, t_powers, word).map(
+        lambda t: f"{t[0]} " + "*".join([t[1], *t[2], *t[3]]))
+    image = st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: " ".join(terms).removeprefix("+ "))
+    images = draw(st.lists(image, min_size=rank, max_size=rank))
+    return "\n".join([f"rank {rank}", kind,
+                      *(f"z{i} -> {img}" for i, img in enumerate(images, 1)),
+                      "end", ""])
+
+
+class TestSmallDocuments:
+    @settings(max_examples=100, deadline=None)
+    @given(small_documents())
+    def test_every_command_exits_with_a_documented_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "small.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for argv in (["check", path], ["linearize", path],
+                         ["invert", path], ["compose", path, path],
+                         ["abelianize", path]):
+                assert run(argv) in (0, 1, 2), (argv[0], text)

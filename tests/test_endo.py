@@ -1,7 +1,9 @@
 """Polynomial maps: composition, parts, inversion, conjugation."""
 
+import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,17 +15,31 @@ from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
                    build_tau, constant_part, gen_action, identity_map, invert,
                    linear_part)
 from falin import endo, freealg
-from falin.endo import translation_map
+from falin.endo import linear_combinations, linear_map, translation_map
 from falin.freealg import f_substitute
+from falin.textio import render
 
-from helpers import rand_fraction, rand_scalar_map
+from helpers import det, rand_fraction, rand_scalar_map
 from test_acceptance import corpus_spec
 from test_freealg import (assert_stored_form, laurent_polys,
                           substitute_by_word_products)
 
 
+# sha256 over render(invert(f, max_degree)), or the raised error's class
+# name, for every map of corpus_alpha_maps() at three bounds
+CORPUS_INVERT_DIGEST = (
+    "af3a84c847bb2aab26b979c00e33c7a23d0d2309e35d017ce845bf034e6a9164")
+
+
 def P(rank, terms, nvars=None):
     return FreePoly(rank, terms, nvars)
+
+
+def assert_integral_as_int(pm):
+    for img in pm.images:
+        for c in img.terms.values():
+            assert c != 0
+            assert type(c) is (int if c.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("make", [
@@ -175,6 +191,47 @@ class TestComposeLaurentUnderRational:
         assert seen and all(type(c) is int for c in seen)
 
 
+@st.composite
+def matrix_map_pairs(draw):
+    """(matrix, g): a rational n x n matrix, zero rows included, and a scalar
+    map whose images may be zero, at ranks 1-3."""
+    rank = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.integers(-4, 4),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    row = st.one_of(st.just([0] * rank),
+                    st.lists(entry, min_size=rank, max_size=rank))
+    matrix = draw(st.lists(row, min_size=rank, max_size=rank))
+    return matrix, draw(rational_maps(rank))
+
+
+class TestLinearCombinations:
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_map_pairs())
+    # a zero row, and 1/2 * 2/3 z1 + 3/2 * 4/9 z1 = z1, stored as int
+    @example(([[0, 0], [Fraction(1, 2), Fraction(3, 2)]],
+              PolyMap([P(2, {(1,): Fraction(2, 3)}),
+                       P(2, {(1,): Fraction(4, 9)})])))
+    # a zero row and a zero image
+    @example(([[1, 2], [0, 0]], PolyMap([FreePoly.zero(2),
+                                         P(2, {(2, 1): Fraction(1, 3)})])))
+    def test_matches_composing_with_the_linear_map(self, pair):
+        matrix, g = pair
+        seen = []
+
+        def spy(out, a_terms, b_terms, max_degree):
+            seen.extend(a_terms.values())
+            seen.extend(b_terms.values())
+            return freealg._mul_into(out, a_terms, b_terms, max_degree)
+
+        with mock.patch.object(endo, "_mul_into", spy):
+            got = linear_combinations(matrix, g)
+        assert all(type(c) is int for c in seen)
+        assert PolyMap(got) == compose(g, linear_map(g.rank, matrix))
+        assert_integral_as_int(PolyMap(got))
+        for row, img in zip(matrix, got):
+            assert linear_combinations([row], g) == [img]
+
+
 class TestParts:
     def test_linear_part_identity(self):
         assert linear_part(identity_map(3)) == \
@@ -242,8 +299,9 @@ class TestInvert:
             invert(f)  # the series inverse of z + z^2 never terminates
 
     def test_corrections_at_every_degree(self):
-        # corrections at degrees 2, 3 and 4; deg h * deg f exceeds the bound,
-        # so the certificate forms compose(h, f) again in full
+        # the first pass cancels the degree-2 residual, the second the
+        # degree-3 and degree-4 parts together; deg h * deg f exceeds the
+        # bound, so the certificate forms compose(h, f) again in full
         f = PolyMap([P(3, {(1,): 1}), P(3, {(2,): 1, (1, 1): 1}),
                      P(3, {(3,): 1, (2, 2): 1})])
         h = invert(f, 4)
@@ -253,6 +311,18 @@ class TestInvert:
                   (1, 1, 1, 1): -1})])
         with pytest.raises(NotPolynomialInverseWithinBound):
             invert(f, 3)
+
+    def test_passes_store_integral_coefficients_as_int(self):
+        # the z1^4 coefficient -9 of h would be the sum of two Fractions if a
+        # pass subtracted A^-1 r from h; forming h = A^-1 q stores it as int
+        f = PolyMap([P(2, {(1,): 1, (2, 2): 1}),
+                     P(2, {(1,): Fraction(-3, 2), (2,): 1, (1, 1): -3,
+                           (2, 2): Fraction(-3, 2), (1, 2, 2): -3,
+                           (2, 2, 1): -3, (2, 2, 2, 2): -3})])
+        h = invert(f, 4)
+        assert type(h.images[0].terms[(1, 1, 1, 1)]) is int
+        assert_integral_as_int(h)
+        assert compose(h, f) == compose(f, h) == identity_map(2)
 
     def test_certificate_products_are_exact(self, monkeypatch):
         # the compose(h, f) that certifies h is never cut at the bound, also
@@ -288,8 +358,10 @@ class TestInvert:
             seen.extend(b_terms.values())
             return mul_into(out, a_terms, b_terms, max_degree)
 
-        # every product, f_mul's and f_substitute's alike, runs this loop
+        # every product, f_mul's and f_substitute's alike, runs this loop,
+        # and so do the sums of invert's passes (linear_combinations)
         monkeypatch.setattr(freealg, "_mul_into", spy)
+        monkeypatch.setattr(endo, "_mul_into", spy)
         f = PolyMap([P(2, {(1,): Fraction(1, 2)}),
                      P(2, {(2,): 1, (1, 1): Fraction(2, 3)})])
         h = invert(f, 2)
@@ -324,6 +396,39 @@ class TestInvert:
             h = invert(f, truth.alpha_inverse.degree())
             back = translation_map(alpha.rank, [-x for x in b])
             assert h == compose(back, truth.alpha_inverse)
+
+
+def corpus_alpha_maps():
+    """(f, deg alpha^-1) for each corpus alpha (specs 0-99) as generated, and
+    again after a seeded invertible rational linear map and translation."""
+    rng = random.Random(24)
+    for seed in range(100):
+        _, truth = gen_action(corpus_spec(seed))
+        alpha, n = truth.alpha, truth.alpha.rank
+        bound = truth.alpha_inverse.degree()
+        yield alpha, bound
+        while True:
+            matrix = [[rand_fraction(rng) if rng.random() < 0.6 else 0
+                       for _ in range(n)] for _ in range(n)]
+            if det(matrix):
+                break
+        moved = compose(linear_map(n, matrix), alpha)
+        yield PolyMap([img + rand_fraction(rng) for img in moved.images]), bound
+
+
+class TestInvertPinned:
+    def test_corpus_alpha_inverses_pinned_in_stored_form(self):
+        digest = hashlib.sha256()
+        for f, bound in corpus_alpha_maps():
+            for max_degree in (None, bound, bound - 1):
+                try:
+                    h = invert(f, max_degree)
+                except NotPolynomialInverseWithinBound as err:
+                    digest.update(f"error:{type(err).__name__}\n".encode())
+                    continue
+                assert_integral_as_int(h)
+                digest.update(render(h).encode())
+        assert digest.hexdigest() == CORPUS_INVERT_DIGEST
 
 
 class TestConjugateByTranslation:

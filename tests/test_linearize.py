@@ -273,7 +273,7 @@ class TestLinearize:
 
     def test_rank45_beta_inverse_coefficients_are_canonical(self):
         # int when integral, Fraction otherwise, as normalize_scalar stores
-        # them; invert's corrections scale by linalg's Fractions
+        # them; invert forms each pass's h = A^-1 q from linalg's Fractions
         for action in rank45_actions():
             for img in linearize(action).beta_inverse.images:
                 for c in img.terms.values():
