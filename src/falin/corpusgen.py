@@ -6,7 +6,8 @@ composition of elementary automorphisms (z_i -> z_i + p with p free of
 z_i, so the inverse is explicit) and one invertible integer linear map.
 sigma is built one t-part at a time: tau_M scales each word w of
 alpha^-1(z_i) by t^{M(w)}, so the t^mu part of sigma(z_i) is alpha's scalar
-images substituted into the words of weight mu.  Distinct t-parts never
+images substituted into the words of weight mu, by the certificate's own
+kernel (endo.substitute_parts).  Distinct t-parts never
 cancel, so a build stops at the first word that takes sigma past the
 degree or term cap, and rejects exactly the actions a finished build would.
 Before that build, and before each composition that builds alpha and
@@ -34,10 +35,11 @@ from typing import Optional, Tuple
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import PolyMap, compose, identity_map, linear_map
+from .endo import (PolyMap, compose, identity_map, linear_map,
+                   substitute_parts)
 from .errors import DegreeBlowupExceeded, InternalInvariant
 from .freealg import FreePoly
-from .linearize import _tau_conjugate_parts, _weight_parts, verify_conjugation
+from .linearize import verify_conjugation, weight_parts
 from .torus import TorusAction, is_effective
 
 _MAX_REDRAWS = 96
@@ -229,14 +231,14 @@ def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
                       degree_cap: int = 12):
     """sigma = alpha o tau_M o alpha^-1, verified against its ground truth.
 
-    sigma(z_i) is assembled from the t-parts of alpha(tau(t)(alpha^-1(z_i)))
-    (linearize._tau_conjugate_parts), every one a substitution of alpha's
-    scalar images sharing one prefix cache, so no Laurent coefficient is
-    multiplied.  A word that appears in one part stays in sigma, since
-    distinct t-parts never cancel, so the build stops as soon as its
-    running term count passes the term cap or a new word is longer than
-    ``degree_cap``: it rejects exactly what _check_size on the finished map
-    would, with the same message.  Before it starts, the weight of each
+    sigma(z_i) is assembled from the t-parts of alpha(tau(t)(alpha^-1(z_i))),
+    alpha substituted into the weight parts of alpha^-1 (weight_parts) by
+    endo.substitute_parts, so no Laurent coefficient is multiplied.  A word
+    that appears in one part stays in sigma, since distinct t-parts never
+    cancel, so the build stops as soon as its running term count passes the
+    term cap or a new word is longer than ``degree_cap``: it rejects
+    exactly what _check_size on the finished map would, with the same
+    message.  Before it starts, the weight of each
     word of alpha^-1 is worked out once, and _refuse_by_top_degree refuses
     a build whose top-degree terms already pass a cap.  The caps run in
     the order of compose(compose(alpha, tau), alpha^-1): alpha o tau scales
@@ -245,16 +247,14 @@ def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
     """
     _check_size(alpha, degree_cap)  # the size of alpha o tau
     _prefilter(alpha, alpha_inverse, degree_cap)
-    parts = [_weight_parts(inverse, weights) for inverse in alpha_inverse.images]
+    parts = [weight_parts(inverse, weights) for inverse in alpha_inverse.images]
     _refuse_by_top_degree(alpha, [p.values() for p in parts], degree_cap)
     n = alpha.rank
-    cache = {}
     size = 0
     images = []
-    for image_parts in parts:
+    for image_parts in substitute_parts(alpha, parts):
         out = {}
-        for mu, part in _tau_conjugate_parts([1] * n, alpha.images,
-                                             image_parts, cache):
+        for mu, part in image_parts:
             for word, c in part.terms.items():
                 coeff = out.get(word)
                 if coeff is None:

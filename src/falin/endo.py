@@ -12,13 +12,17 @@ sensitive operation (conjugation by translations and by linear maps) is
 specified by the post-condition this convention induces, and the tests pin
 those post-conditions rather than any formula.
 
-Composing under a scalar g clears denominators once per composition: each
-image of g is scaled to integer coefficients, each image of f (each t-part
-of it, for Laurent f) absorbs those scales and its own common denominator,
-the unchanged substitution runs over the integers, and each output term is
-divided once.  Scaling by nonzero constants changes no support and the
-arithmetic is exact, so the result is the same normalized map as a
-substitution over the rationals would give, without a gcd in every product.
+Substituting a scalar g clears denominators once: each image of g is
+scaled to integer coefficients, each polynomial substituted into (each
+t-part of it, for Laurent f: compose alone splits by t) absorbs those
+scales and its own common denominator, the substitution runs over the
+integers, and each output term is divided once.  Scaling by nonzero
+constants changes no support and the arithmetic is exact, so the result is
+the same normalized map as a substitution over the rationals would give,
+without a gcd in every product.  compose evaluates in Horner form;
+substitute_parts, the kernel for many small parts at once (the weight
+parts of the certificate and of the corpus generator's sigma, and the rows
+of linear_combinations), caches the product of every word prefix instead.
 
 ``invert`` takes scalar maps only, as beta and every map document are,
 raises ``SingularMatrix`` for a singular linear part, and removes a
@@ -34,8 +38,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .coefficients import clear_denominators, normalize_scalar
 from .errors import NotPolynomialInverseWithinBound, RankMismatch
-from .freealg import (EMPTY_WORD, FreePoly, _mul_into, evaluate_by_t,
-                      f_substitute, merge_nvars)
+from .freealg import (EMPTY_WORD, FreePoly, _horner, _mul_into,
+                      evaluate_by_t, f_mul, f_substitute, merge_nvars)
 
 
 class PolyMap:
@@ -84,38 +88,84 @@ def identity_map(rank: int) -> PolyMap:
 def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     """compose(g, f)(z_i) = g(f(z_i)); linear parts obey A = A_f * A_g.
 
-    When g is scalar and some coefficient of g or f is not an ``int``, the
+    A Laurent f under scalar g is substituted one t-part at a time
+    (evaluate_by_t), so no Laurent coefficient is multiplied.  When g is
+    scalar and some coefficient of g or f is not an ``int``, the
     denominators are cleared first: g_j becomes D_j g_j with integer
-    coefficients, the coefficient c_w of f_i (of each t-part of f_i, for
-    Laurent f) becomes L c_w / D_w, where D_w is the product of D_j over the
-    letters of w and L clears what is left, and every output term of the
-    integer substitution is divided by L.  Since
+    coefficients, the coefficient c_w of f_i (of each t-part of f_i) becomes
+    L c_w / D_w, where D_w is the product of D_j over the letters of w and
+    L clears what is left, and every output term of the integer
+    substitution is divided by L.  Since
     f_i(g) = (1/L) sum_w (L c_w / D_w) prod_k D_{w_k} g_{w_k}, the result is
     exact, and ``max_degree`` cuts the same words.  Every scalar result
     stores ``int`` where integral and no zeros.
     """
     if g.rank != f.rank:
         raise RankMismatch(f"ranks {g.rank} and {f.rank} differ")
-    if g.nvars is not None or all(
-            type(c) is int for m in (g, f) for img in m.images
-            for coeff in img.terms.values()
-            for c in (coeff.terms.values() if m.nvars else (coeff,))):
+    if g.nvars is not None:
         return PolyMap([f_substitute(img, g.images, max_degree)
                         for img in f.images])
-    scales, images = cleared_images(g)
+    if all(type(c) is int for m in (g, f) for img in m.images
+           for coeff in img.terms.values()
+           for c in (coeff.terms.values() if m.nvars else (coeff,))):
+        def part(terms):
+            return _horner(terms, g.images, max_degree)
+    else:
+        scales, images = _cleared_images(g)
 
-    def part(terms):
-        common, cleared = absorb_scales(terms, scales)
-        got = f_substitute(FreePoly._raw(g.rank, None, cleared), images,
-                           max_degree)
-        return divide_terms(got.terms, common)
+        def part(terms):
+            common, cleared = _absorb_scales(terms, scales)
+            return _divide_terms(_horner(cleared, images, max_degree), common)
 
     return PolyMap([FreePoly._raw(g.rank, img.nvars, evaluate_by_t(img, part)
                                   if img.nvars else part(img.terms))
                     for img in f.images])
 
 
-def cleared_images(g: PolyMap):
+def substitute_parts(g: PolyMap, polys):
+    """For each {key: term map} of ``polys``, the nonzero (key, g(terms)).
+
+    Yields one iterator per element of ``polys``, each giving the pairs in
+    order, so a caller can stop between parts or polynomials and nothing
+    further is substituted.  g is scalar, as is every term map.  The
+    images of g are scaled to integers once, and each word is replaced by
+    the product of its letters' scaled images, kept in one cache for every
+    prefix formed across all of ``polys``: the parts are small and their
+    words share prefixes, which Horner form (compose) would multiply again
+    for every part.  The cache starts with the one-letter words, so those
+    cost no product.  Each part's sum runs over the integers and each of
+    its terms is divided once.
+    """
+    scales, images = _cleared_images(g)
+    cache = {(j,): img for j, img in enumerate(images, 1)}
+    cache[EMPTY_WORD] = FreePoly._raw(g.rank, None, {EMPTY_WORD: 1})
+
+    def substituted(parts):
+        for key, terms in parts.items():
+            common, cleared = _absorb_scales(terms, scales)
+            out = {}
+            for word, coeff in sorted(cleared.items()):
+                product = cache.get(word)
+                if product is None:
+                    # walk back to the longest cached prefix, then extend
+                    k = len(word) - 1
+                    while word[:k] not in cache:
+                        k -= 1
+                    product = cache[word[:k]]
+                    for letter in word[k:]:
+                        k += 1
+                        product = cache[word[:k]] = f_mul(
+                            product, images[letter - 1])
+                _mul_into(out, {EMPTY_WORD: coeff}, product.terms, None)
+            if out:
+                yield key, FreePoly._raw(g.rank, None,
+                                         _divide_terms(out, common))
+
+    for parts in polys:
+        yield substituted(parts)
+
+
+def _cleared_images(g: PolyMap):
     """(scales, images): images[j] = scales[j] * g_j, integer coefficients."""
     scales, images = [], []
     for img in g.images:
@@ -125,10 +175,10 @@ def cleared_images(g: PolyMap):
     return scales, images
 
 
-def absorb_scales(terms, scales):
+def _absorb_scales(terms, scales):
     """(L, {w: L c_w / D_w}), D_w the product of scales over the letters of
-    w: those integer terms under cleared_images, divided by L
-    (divide_terms), are the terms under the original images."""
+    w: those integer terms under _cleared_images, divided by L
+    (_divide_terms), are the terms under the original images."""
     absorbed = []
     for w, c in terms.items():
         d = c.denominator * prod([scales[letter - 1] for letter in w])
@@ -137,7 +187,7 @@ def absorb_scales(terms, scales):
     return common, dict(zip(terms, ints))
 
 
-def divide_terms(terms, d: int):
+def _divide_terms(terms, d: int):
     """The term map with every value divided by d, in stored form."""
     return terms if d == 1 else {
         w: normalize_scalar(Fraction(c, d)) for w, c in terms.items()}
@@ -147,19 +197,14 @@ def linear_combinations(matrix, g: PolyMap) -> list:
     """The images sum_j matrix[i][j] g_j of a scalar map g, one per row.
 
     For a square matrix these are the images of compose(g, linear_map(n,
-    matrix)), formed over the integers as compose forms them, without
-    building the linear map, and returned in stored form.
+    matrix)), formed by substitute_parts without building the linear map,
+    and returned in stored form.
     """
-    scales, images = cleared_images(g)
-    out = []
-    for row in matrix:
-        common, ints = absorb_scales(
-            {(j,): c for j, c in enumerate(row, 1) if c}, scales)
-        terms = {}
-        for (j,), a in ints.items():
-            _mul_into(terms, {EMPTY_WORD: a}, images[j - 1].terms, None)
-        out.append(FreePoly._raw(g.rank, None, divide_terms(terms, common)))
-    return out
+    [parts] = substitute_parts(g, [{
+        i: {(j,): c for j, c in enumerate(row, 1) if c}
+        for i, row in enumerate(matrix)}])
+    parts = dict(parts)
+    return [parts.get(i) or FreePoly.zero(g.rank) for i in range(len(matrix))]
 
 
 def linear_part(f: PolyMap) -> list:

@@ -21,10 +21,8 @@ laurent kind, only ``LaurentPoly`` values, so ``==`` is structural.
 first letter, p = c + sum_j z_j q_j, it returns c + sum_j g_j q_j(g), so
 sums of suffixes cancel before they are multiplied.  It keeps one frame per
 letter of the current word on a list rather than recursing, so words as
-long as the parser accepts evaluate at any call depth.  A Laurent
-polynomial under scalar images is evaluated one t-part at a time, so only
-scalars are multiplied.  ``f_mul`` and every evaluation share one product
-loop over raw term maps.
+long as the parser accepts evaluate at any call depth.  ``f_mul`` and
+every evaluation share one product loop over raw term maps.
 
 Display order everywhere is graded lexicographic on words (length first,
 then letters, z1 < z2 < ...); that order also defines which witness a
@@ -343,11 +341,9 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
     p(g) = c + sum_j g_j q_j(g), each q_j(g) evaluated the same way, so the
     suffix sums of words sharing a prefix are formed (and cancel) before
     they are multiplied by that prefix's images; the walk is iterative, so
-    word length is not bounded by the recursion limit.  A Laurent ``p``
-    under scalar images is split into its t-parts first, so that every
-    product is scalar.  ``max_degree`` truncates every product at that word
-    length; word lengths never fall in a product, so the result is exact
-    in every degree <= max_degree.
+    word length is not bounded by the recursion limit.  ``max_degree``
+    truncates every product at that word length; word lengths never fall
+    in a product, so the result is exact in every degree <= max_degree.
     """
     if len(images) != p.rank:
         raise RankMismatch(f"{len(images)} images for rank {p.rank}")
@@ -361,10 +357,7 @@ def f_substitute(p: FreePoly, images: Sequence[FreePoly],
             raise RankMismatch("substitution images have differing ranks")
     if rank is None:
         rank = p.rank
-    if p.nvars is not None and all(img.nvars is None for img in images):
-        out = evaluate_by_t(p, lambda part: _horner(part, images, max_degree))
-    else:
-        out = _horner(p.terms, images, max_degree)
+    out = _horner(p.terms, images, max_degree)
     # only a scalar p under Laurent images can mix kinds (its constant
     # term stays scalar); otherwise every value has the kind
     if nvars == p.nvars:

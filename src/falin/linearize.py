@@ -30,12 +30,11 @@ from typing import Optional
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import (PolyMap, absorb_scales, cleared_images, compose,
-                   conjugate_by_translation, divide_terms, invert,
+from .endo import (PolyMap, compose, conjugate_by_translation, invert,
                    linear_combinations, linear_map, linear_part,
-                   translation_map)
+                   substitute_parts, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
-from .freealg import EMPTY_WORD, FreePoly, _mul_into, f_mul, t_components
+from .freealg import FreePoly, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
                     weight_decomposition)
 
@@ -112,30 +111,30 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     P P^-1 = I exactly, so gamma^-1 = beta^-1 o P o T_c, with
     gamma^-1(z_i) = sum_j P_ij beta^-1(z_j) + c_i, is a two-sided inverse.
     Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
-    sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  It holds
-    exactly when the t-parts of gamma(tau(t)(gamma^-1(z_i))) are the
-    t-components of sigma(t)(z_i) (_tau_conjugate_parts).  gamma^-1 is
-    formed by endo.linear_combinations, and every product is integer by
-    integer, sharing one prefix cache.
+    sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t) scales
+    each word of gamma^-1(z_i) by its weight, and distinct weights never
+    cancel, so the identity holds exactly when gamma substituted into each
+    weight part of gamma^-1(z_i) (endo.substitute_parts) is the matching
+    t-component of sigma(t)(z_i).  The check stops at the first image that
+    differs; every product in it is integer by integer.
     """
-    scales, images = cleared_images(gamma)
-    cache = {}
     inverse = linear_combinations(report.base_change, report.beta_inverse)
-    for img, inv, c in zip(action.map.images, inverse, report.fixed_point):
-        got = dict(_tau_conjugate_parts(
-            scales, images, _weight_parts(inv + c, report.weights), cache))
-        if got != t_components(img):
+    polys = (weight_parts(inv + c, report.weights)
+             for inv, c in zip(inverse, report.fixed_point))
+    for img, parts in zip(action.map.images, substitute_parts(gamma, polys)):
+        if dict(parts) != t_components(img):
             return False
     return True
 
 
-def _weight_parts(poly: FreePoly, weights) -> dict:
+def weight_parts(poly: FreePoly, weights) -> dict:
     """{mu: terms}: the words of ``poly`` grouped by their tau-weight.
 
     tau(t) scales a word w by t^{M(w)}, where M(w) sums the weight rows of
-    its letters.  Each word's weight is worked out here once, for
-    _tau_conjugate_parts and for the corpus generator's refusal before a
-    build.
+    its letters, so gamma o tau(t) applied to ``poly`` has the t^mu part
+    gamma(terms).  Each word's weight is worked out here once, for the
+    certificate and for the corpus generator's build and its refusal
+    before the build.
     """
     n = len(weights)
     parts = {}
@@ -143,43 +142,6 @@ def _weight_parts(poly: FreePoly, weights) -> dict:
         mu = tuple(sum(weights[l - 1][k] for l in word) for k in range(n))
         parts.setdefault(mu, {})[word] = c
     return parts
-
-
-def _tau_conjugate_parts(scales, images, parts: dict, cache: dict):
-    """Yield (mu, part) for the nonzero t^mu parts of gamma(tau(t)(poly)).
-
-    gamma and poly are scalar, images[j] = scales[j] * gamma_j (scales of 1
-    for the generator's integer alpha), and ``parts`` is _weight_parts(poly,
-    M): the t^mu part is gamma substituted into the words of poly of weight
-    mu.  Distinct parts never cancel, and each is substituted only when the
-    caller asks for it, so a caller can stop between parts.  The parts are
-    small and their words share prefixes across parts and polynomials, so
-    each word is replaced by the product of its letters' images, and
-    ``cache`` keeps that product for every prefix formed; Horner form
-    (f_substitute) would multiply a shared prefix again for every part.
-    Products and sums run over the integers (endo.absorb_scales), and each
-    term is divided once.  Pass one dict to every call with the same images.
-    """
-    n = len(images)
-    if not cache:
-        cache[EMPTY_WORD] = FreePoly.const(n, 1)
-    for mu, terms in parts.items():
-        common, cleared = absorb_scales(terms, scales)
-        out = {}
-        for word, coeff in sorted(cleared.items()):
-            prod = cache.get(word)
-            if prod is None:
-                # walk back to the longest cached prefix, then extend
-                k = len(word) - 1
-                while word[:k] not in cache:
-                    k -= 1
-                prod = cache[word[:k]]
-                for letter in word[k:]:
-                    k += 1
-                    prod = cache[word[:k]] = f_mul(prod, images[letter - 1])
-            _mul_into(out, {EMPTY_WORD: coeff}, prod.terms, None)
-        if out:
-            yield mu, FreePoly._raw(n, None, divide_terms(out, common))
 
 
 def _require_axioms(action: TorusAction) -> None:

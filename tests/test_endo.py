@@ -15,7 +15,8 @@ from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
                    build_tau, constant_part, gen_action, identity_map, invert,
                    linear_part)
 from falin import endo, freealg
-from falin.endo import linear_combinations, linear_map, translation_map
+from falin.endo import (linear_combinations, linear_map, substitute_parts,
+                        translation_map)
 from falin.freealg import f_substitute
 from falin.textio import render
 
@@ -190,6 +191,29 @@ class TestComposeLaurentUnderRational:
         assert compose(g, f) == expected
         assert seen and all(type(c) is int for c in seen)
 
+    def test_integer_maps_multiply_no_laurent_coefficient(self, monkeypatch):
+        # compose's all-int path splits a Laurent f by t, as its cleared
+        # path does: an integer translation, and beta o tau as in
+        # verify_conjugation with a generated (integer) alpha for beta
+        _, truth = gen_action(corpus_spec(5))
+        f = PolyMap([FreePoly(2, {(1, 2): T1 * 2 - T2, (2,): T1}, 2),
+                     FreePoly(2, {(2, 1, 1): T2, (): T1 * -3}, 2)])
+        pairs = [(translation_map(2, [3, -2]), f),
+                 (truth.alpha, build_tau(truth.weights).map)]
+        expected = [PolyMap([substitute_by_word_products(img, g.images)
+                             for img in f.images]) for g, f in pairs]
+        laurent_products = []
+        mul = LaurentPoly.__mul__
+
+        def spy(a, b):
+            laurent_products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", spy)
+        assert [compose(g, f) for g, f in pairs] == expected
+        assert laurent_products == []
+
 
 @st.composite
 def matrix_map_pairs(draw):
@@ -230,6 +254,78 @@ class TestLinearCombinations:
         assert_integral_as_int(PolyMap(got))
         for row, img in zip(matrix, got):
             assert linear_combinations([row], g) == [img]
+
+
+@st.composite
+def keyed_term_maps(draw):
+    """(g, polys): a scalar map and {key: term map} dicts at ranks 1-3.
+
+    Coefficients and images are rational, words may be empty, and words are
+    short over a small alphabet, so they share prefixes within a dict and
+    across dicts; images may be zero, so whole parts can vanish."""
+    rank = draw(st.integers(1, 3))
+    terms = st.dictionaries(
+        st.lists(st.integers(1, rank), max_size=4).map(tuple),
+        st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+        max_size=5)
+    parts = st.dictionaries(st.integers(0, 3), terms, max_size=3)
+    return (draw(rational_maps(rank)),
+            draw(st.lists(parts, min_size=1, max_size=4)))
+
+
+class TestSubstituteParts:
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_term_maps())
+    # g1 = g2, so the part z1 - z2 vanishes; a constant term with it, and
+    # z1 z2 and z1 z2 z1 share the prefix z1 z2 across dicts
+    @example((PolyMap([P(2, {(1,): Fraction(1, 2), (): 1})] * 2),
+              [{0: {(1,): 1, (2,): -1}, 1: {(): Fraction(2, 3), (1, 2): 1}},
+               {2: {(1, 2, 1): Fraction(-1, 2)}}]))
+    def test_shared_cache_gives_each_part_substituted(self, case):
+        g, polys = case
+        got = [list(parts) for parts in substitute_parts(g, polys)]
+        expected = []
+        for parts in polys:
+            substituted = [(key, f_substitute(FreePoly(g.rank, terms),
+                                              g.images))
+                           for key, terms in parts.items()]
+            expected.append([(key, poly) for key, poly in substituted
+                             if poly])
+        assert got == expected
+        for parts in got:
+            for _, poly in parts:
+                assert_stored_form(poly, None)
+                for c in poly.terms.values():
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
+
+    def test_products_are_integer_and_one_letter_words_are_cached(self):
+        g = PolyMap([P(2, {(1,): Fraction(1, 2), (2, 2): Fraction(2, 3)}),
+                     P(2, {(2,): 3, (): Fraction(-1, 4)})])
+        polys = [{0: {(1,): 2, (2,): Fraction(1, 3)}},
+                 {0: {(2, 1): 1}, 1: {(2, 1, 2): Fraction(5, 2)}}]
+        first = f_substitute(FreePoly(2, polys[0][0]), g.images)
+        products, seen = [], []
+        original = freealg._mul_into
+
+        def f_mul(p, q):
+            products.append((p, q))
+            return freealg.f_mul(p, q)
+
+        def mul_into(out, a_terms, b_terms, max_degree):
+            seen.extend(a_terms.values())
+            seen.extend(b_terms.values())
+            return original(out, a_terms, b_terms, max_degree)
+
+        with mock.patch.object(endo, "f_mul", f_mul), \
+                mock.patch.object(endo, "_mul_into", mul_into), \
+                mock.patch.object(freealg, "_mul_into", mul_into):
+            parts = substitute_parts(g, polys)
+            assert list(next(parts)) == [(0, first)]
+            assert products == []  # none for a one-letter word
+            list(next(parts))
+        # z2 z1 once, then z2 z1 z2 from the cached z2 z1
+        assert len(products) == 2
+        assert seen and all(type(c) is int for c in seen)
 
 
 class TestParts:

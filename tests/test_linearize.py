@@ -7,8 +7,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    LaurentPoly, NotEffective, NotPolynomialInverseWithinBound,
@@ -18,9 +16,8 @@ from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    identity_map, linear_part, linearize, parse,
                    verify_conjugation, weight_decomposition)
 from falin import freealg, linalg
-from falin.freealg import f_substitute
 from falin.corpusgen import conjugated_action
-from falin.endo import cleared_images, linear_map, translation_map
+from falin.endo import linear_map, translation_map
 from falin.errors import NotDiagonalizable
 
 from helpers import rank45_actions
@@ -372,9 +369,10 @@ class TestScalarCertificate:
             return mul_into(out, a_terms, b_terms, max_degree)
 
         # every product, f_mul's and f_substitute's alike, runs this loop;
-        # the certificate scales its cached prefix products with it too
+        # the certificate's kernel (endo.substitute_parts) scales its cached
+        # prefix products with it too
         monkeypatch.setattr(freealg, "_mul_into", spy)
-        monkeypatch.setattr(importlib.import_module("falin.linearize"),
+        monkeypatch.setattr(importlib.import_module("falin.endo"),
                             "_mul_into", spy)
         for action in actions:
             assert linearize(action).verified
@@ -405,42 +403,6 @@ class TestScalarCertificate:
             swapped = dataclasses.replace(report, weights=weights)
             assert not conjugates_tau(action, gamma, swapped)
             assert not verify_conjugation(action, gamma, weights)
-
-
-@st.composite
-def shared_prefix_polys(draw):
-    """(gamma, weights, polys): scalar maps and polynomials at ranks 1-3.
-
-    Words are short over a small alphabet, so they share prefixes within a
-    weight part, across parts and across polynomials."""
-    rank = draw(st.integers(1, 3))
-    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
-    word = st.lists(st.integers(1, rank), max_size=4).map(tuple)
-    poly = st.dictionaries(word, coeff, max_size=6).map(
-        lambda terms: FreePoly(rank, terms))
-    row = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)
-    return (PolyMap(draw(st.lists(poly, min_size=rank, max_size=rank))),
-            draw(st.lists(row, min_size=rank, max_size=rank)),
-            draw(st.lists(poly, min_size=1, max_size=4)))
-
-
-class TestTauConjugateParts:
-    @settings(max_examples=150, deadline=None)
-    @given(shared_prefix_polys())
-    def test_shared_cache_gives_each_weight_part_substituted(self, case):
-        module = importlib.import_module("falin.linearize")
-        gamma, weights, polys = case
-        cache = {}
-        for poly in polys:
-            parts = module._weight_parts(poly, weights)
-            expected = {}
-            for mu, terms in parts.items():
-                part = f_substitute(FreePoly(poly.rank, terms), gamma.images)
-                if part:
-                    expected[mu] = part
-            got = module._tau_conjugate_parts(*cleared_images(gamma), parts,
-                                              cache)
-            assert dict(got) == expected
 
 
 class TestFixedPoint:
