@@ -24,7 +24,7 @@ substitute_parts, the kernel for many small parts at once (the weight
 parts of the certificate and of the corpus generator's sigma, and the rows
 of linear_combinations), caches the product of every word prefix instead.
 
-``invert`` takes scalar maps only, as beta and every map document are,
+``invert`` takes scalar maps only, as every map document is,
 raises ``SingularMatrix`` for a singular linear part, and removes a
 constant part by a translation before inverting the rest.
 """
@@ -239,8 +239,9 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     compose(h, f) only when f has no constant part and deg h * deg f <=
     ``max_degree``, so that no product in it was cut.
 
-    ``max_degree`` defaults to the degree of f itself; the linearization
-    pipeline passes the degree of the action, which bounds that of beta^-1.
+    ``max_degree`` defaults to the degree of f itself.  The linearization
+    pipeline does not call it: it reads beta^-1 off the action's weight
+    components and proves it with the same two-sided check.
     """
     if f.nvars is not None:
         raise RankMismatch("invert takes a map with scalar coefficients")

@@ -25,7 +25,12 @@ class SingularMatrix(FalinError):
 
 
 class NotPolynomialInverseWithinBound(FalinError):
-    """Series inversion left a nonzero residual at the degree bound."""
+    """No two-sided polynomial inverse within the degree bound.
+
+    Raised by ``invert`` when its series iteration ends without one, and by
+    the linearization pipeline when the beta^-1 it reads off exceeds the
+    bound or fails to invert beta on both sides.
+    """
 
 
 class NotDiagonalizable(FalinError):

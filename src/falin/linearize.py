@@ -6,7 +6,8 @@ part A, rejects the action if the weight matrix is singular, and otherwise
 reads the conjugating automorphism beta off the weight components of
 sigma: beta(z_i) is the t^{m_i} part of the i-th image of the diagonalized
 action, and since the base change does not touch t, that part is taken
-before it.
+before it.  beta^-1 is read off the same components, from the
+lowest-degree part of each (see linearize), with the same P^-1.
 
 The defining property of beta is the conjugation identity
 
@@ -30,10 +31,11 @@ from typing import Optional
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import (PolyMap, compose, conjugate_by_translation, invert,
+from .endo import (PolyMap, compose, conjugate_by_translation, identity_map,
                    linear_combinations, linear_map, linear_part,
                    substitute_parts, translation_map)
-from .errors import AxiomsFail, FalinError, NotEffective
+from .errors import (AxiomsFail, FalinError, NotEffective,
+                     NotPolynomialInverseWithinBound)
 from .freealg import FreePoly, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
                     weight_decomposition)
@@ -74,20 +76,38 @@ def extract_beta(action: TorusAction, base_change, weights) -> PolyMap:
     touch t, so taking a t-coefficient commutes with it, and
     beta(z_i) = Y_i(P z) with Y_i = sum_j (P^-1)_{ij} g_{j,m_i}.
     """
-    return compose(linear_map(action.rank, base_change),
-                   _weight_components(action, base_change, weights))
+    return _conjugator(action.map, base_change, weights)[0]
 
 
-def _weight_components(action: TorusAction, base_change, weights) -> PolyMap:
-    """The scalar map Y with Y_i = sum_j (P^-1)_{ij} g_{j,m_i} (see extract_beta)."""
-    n = action.rank
+def _conjugator(moved: PolyMap, base_change, weights):
+    """(beta, Y, P^-1, components) for sigma(t) = ``moved`` (see extract_beta).
+
+    components[j] is {m: g_{j,m}}; P^-1 and the components are returned so
+    that the pipeline reads beta^-1 off them without forming them again.
+    """
+    n = moved.rank
     inverse = linalg.inverse(base_change)
-    components = [t_components(img) for img in action.map.images]
+    components = [t_components(img) for img in moved.images]
     zero = FreePoly.zero(n)
-    return PolyMap([
+    y = PolyMap([
         linear_combinations([row], PolyMap(
             [parts.get(tuple(m), zero) for parts in components]))[0]
         for row, m in zip(inverse, weights)])
+    return compose(linear_map(n, base_change), y), y, inverse, components
+
+
+def _lowest_parts(components, n: int) -> PolyMap:
+    """H with H_j = sum_mu low(g_{j,mu}), low keeping the shortest words."""
+    images = []
+    for parts in components:
+        total = {}
+        for g in parts.values():
+            low = min(map(len, g.terms))
+            for word, c in g.terms.items():
+                if len(word) == low:
+                    total[word] = total.get(word, 0) + c
+        images.append(FreePoly(n, total))
+    return PolyMap(images)
 
 
 def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
@@ -107,8 +127,9 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     """Exact check of sigma(t) = gamma o tau(t) o gamma^-1, one t-part at a time.
 
     gamma = T_-c o P^-1 o beta for the report's fixed point c, base change
-    P and beta.  invert proved beta o beta^-1 = beta^-1 o beta = id, and
-    P P^-1 = I exactly, so gamma^-1 = beta^-1 o P o T_c, with
+    P and beta.  The pipeline proved beta o beta^-1 = beta^-1 o beta = id
+    for the beta^-1 it read off, and P P^-1 = I exactly, so
+    gamma^-1 = beta^-1 o P o T_c, with
     gamma^-1(z_i) = sum_j P_ij beta^-1(z_j) + c_i, is a two-sided inverse.
     Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
     sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t) scales
@@ -175,7 +196,11 @@ def linearize(action: TorusAction,
     so a word's weight fixes its letter counts and (h_j)_mu is homogeneous;
     since Y = P^-1 z + (degree >= 2), the lowest-degree part of g_{j,mu} is
     (h_j)_mu(P^-1 z), of the same degree.  Hence deg h <= deg sigma, and
-    beta^-1 = h o P^-1 has the degree of h.
+    beta^-1 = h o P^-1 has the degree of h.  It is read off directly: with
+    H_j = sum_mu low(g_{j,mu}) = h_j(P^-1 z), beta^-1(z_i) =
+    sum_j (P^-1)_{ij} H_j(P z).  The pipeline proves that map's degree is
+    within the bound and that it is a two-sided inverse of beta; when
+    either fails, it raises NotPolynomialInverseWithinBound.
     """
     if max_degree is not None and max_degree < 1:
         raise ValueError("degree bound must be at least 1")
@@ -203,10 +228,16 @@ def _pipeline(action: TorusAction,
                 base_change=base_change, weights=weights,
                 beta=None, beta_inverse=None, degree=action.degree,
                 verified=None))
-    y = _weight_components(TorusAction(moved), base_change, weights)
-    beta = compose(linear_map(n, base_change), y)
+    beta, y, inverse, components = _conjugator(moved, base_change, weights)
     bound = action.degree if max_degree is None else max_degree
-    beta_inverse = invert(beta, bound)  # also proves both compositions are id
+    # beta^-1 = h o P^-1 with h(z) = H(P z), proved on both sides below
+    beta_inverse = PolyMap(linear_combinations(inverse, compose(
+        linear_map(n, base_change), _lowest_parts(components, n))))
+    ident = identity_map(n)
+    if (beta_inverse.degree() > bound or compose(beta_inverse, beta) != ident
+            or compose(beta, beta_inverse) != ident):
+        raise NotPolynomialInverseWithinBound(
+            f"no polynomial inverse of degree <= {bound}")
     report = LinearizationReport(
         rank=n, effective=True, fixed_point=tuple(center),
         base_change=base_change, weights=weights,

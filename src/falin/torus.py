@@ -158,7 +158,11 @@ def weight_decomposition(matrix):
     reversed coordinates, its rows taken in reverse order and reversed
     back.  That gives the canonical basis of the space, which depends on
     the space alone: its vectors end in a 1 at distinct positions, where
-    the others are 0.  Each vector is kept only if A(t) v = t^mu v.
+    the others are 0.  Each vector is kept only if A(t) v = t^mu v, which
+    is checked over the integers: with each A_nu cleared once to
+    Ai_nu = D_nu A_nu and v to an integer multiple, Ai_nu v = 0 for
+    nu != mu and Ai_mu v = D_mu v.  The rref reads the cleared Ai_mu, whose
+    image is that of A_mu.
 
     Returns (P, M): the base change whose columns are the concatenated
     bases, and the integer matrix whose i-th row is the weight of column
@@ -175,21 +179,25 @@ def weight_decomposition(matrix):
         for j, entry in enumerate(row):
             for nu in sorted(entry.terms):
                 graded.setdefault(nu, {})[i, j] = entry.terms[nu]
+    for nu, a_nu in graded.items():
+        d, ints = clear_denominators(a_nu.values())
+        graded[nu] = d, dict(zip(a_nu, ints))
 
     columns = []
     weights = []
-    for mu, a_mu in graded.items():
+    for mu, (d_mu, a_mu) in graded.items():
         image_columns = [[a_mu.get((i, j), 0) for i in reversed(range(n))]
                          for j in {j for _, j in a_mu}]
         for row in reversed(linalg.rref(image_columns)[0]):
             vec = row[::-1]
-            image = {}  # (nu, i) -> entry i of A_nu vec
-            for nu, a_nu in graded.items():
+            _, v = clear_denominators(vec)
+            image = {}  # (nu, i) -> entry i of Ai_nu v
+            for nu, (_, a_nu) in graded.items():
                 for (i, j), c in a_nu.items():
-                    if vec[j]:
-                        image[nu, i] = image.get((nu, i), 0) + c * vec[j]
+                    if v[j]:
+                        image[nu, i] = image.get((nu, i), 0) + c * v[j]
             if ({key: x for key, x in image.items() if x}
-                    != {(mu, i): x for i, x in enumerate(vec) if x}):
+                    != {(mu, i): d_mu * x for i, x in enumerate(v) if x}):
                 raise NotDiagonalizable(
                     f"A(t) does not scale by t^{mu} a vector of the image "
                     f"of A_{mu}")

@@ -7,13 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    LaurentPoly, NotEffective, NotPolynomialInverseWithinBound,
                    PolyMap, TorusAction, build_tau, check_axioms, compose,
                    conjugate_by_linear, conjugate_by_translation, constant_part,
                    emit_report, extract_beta, fixed_point, gen_action,
-                   identity_map, linear_part, linearize, parse,
+                   identity_map, invert, linear_part, linearize, parse,
                    verify_conjugation, weight_decomposition)
 from falin import freealg, linalg
 from falin.corpusgen import conjugated_action
@@ -300,11 +302,17 @@ class TestCertificate:
     @pytest.mark.parametrize("make, stage_error", [
         (lambda: doc_action("t1*z1 + 1"), FixedPointNotFound),
         (lambda: bumped_corpus_action(1, 0, lambda n: 1), NotDiagonalizable),
-        (lambda: bumped_corpus_action(10, 2, lambda n: LaurentPoly.var(n, 1)), None),
+        # z2^4 gains t1^2*t2^-6, which is no weight row: a word above the
+        # lowest degree of its t-component, so the read-off beta^-1 is
+        # still beta's inverse and only the conjugation check fails
+        (lambda: bumped_corpus_action(
+            10, 9, lambda n: LaurentPoly.monomial(n, (2, -6))), None),
+        (lambda: bumped_corpus_action(10, 2, lambda n: LaurentPoly.var(n, 1)),
+         NotPolynomialInverseWithinBound),
         (lambda: doc_action("t1*z1 + t1*z1^2"), NotPolynomialInverseWithinBound),
         (lambda: doc_action("t1*z1", "t1*z2 + t2*z1^2"), NotEffective),
     ], ids=["fixed_point", "not_diagonalizable", "verified_false",
-            "inverse_bound", "not_effective"])
+            "inverse_read_off", "inverse_bound", "not_effective"])
     def test_non_action_raises_axioms_fail_with_witness(self, make, stage_error):
         action = make()
         verdict = check_axioms(action)
@@ -403,6 +411,42 @@ class TestScalarCertificate:
             swapped = dataclasses.replace(report, weights=weights)
             assert not conjugates_tau(action, gamma, swapped)
             assert not verify_conjugation(action, gamma, weights)
+
+
+class TestReadOffInverse:
+    """beta^-1 is read off the lowest-degree parts of sigma's t-components."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda rank: st.tuples(
+        st.just(rank), st.integers(0, 10**6), st.integers(1, rank),
+        st.lists(st.fractions(-7, 7, max_denominator=5),
+                 min_size=rank, max_size=rank))))
+    def test_equals_series_inverse(self, case):
+        rank, seed, factors, shift = case
+        action, _ = gen_action(CorpusSpec(rank=rank, seed=seed,
+                                          n_elementary=factors,
+                                          max_poly_degree=2, weight_bound=3))
+        moved = TorusAction(conjugate_by_translation(
+            action.map, [-c for c in shift]))
+        for sigma in (action, moved):
+            report = linearize(sigma)
+            assert report.verified
+            assert report.beta_inverse == invert(report.beta, sigma.degree)
+
+    def test_inverts_the_base_change_once(self, ex_a, monkeypatch):
+        calls = []
+        inverse = linalg.inverse
+
+        def counting(matrix):
+            calls.append(matrix)
+            return inverse(matrix)
+
+        monkeypatch.setattr(linalg, "inverse", counting)
+        actions = TestScalarCertificate().actions(ex_a) + shifted_actions()[:4]
+        for action in actions:
+            calls.clear()
+            assert linearize(action).verified
+            assert len(calls) == 1
 
 
 class TestFixedPoint:
