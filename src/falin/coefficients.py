@@ -200,27 +200,17 @@ class LaurentPoly:
             res.terms = {e: c * other for e, c in self.terms.items()}
             return res
         self._check(other)
-        # single-term factors cannot produce colliding keys
-        if len(other.terms) == 1:
-            [(e2, c2)] = other.terms.items()
-            out = {tuple([a + b for a, b in zip(e1, e2)]): c1 * c2
-                   for e1, c1 in self.terms.items()}
-        elif len(self.terms) == 1:
-            [(e1, c1)] = self.terms.items()
-            out = {tuple([a + b for a, b in zip(e1, e2)]): c1 * c2
-                   for e2, c2 in other.terms.items()}
-        else:
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple([a + b for a, b in zip(e1, e2)])
-                    acc = out.get(key)
-                    prod = c1 * c2
-                    acc = prod if acc is None else acc + prod
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple([a + b for a, b in zip(e1, e2)])
+                acc = out.get(key)
+                prod = c1 * c2
+                acc = prod if acc is None else acc + prod
+                if acc:
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
         res = LaurentPoly.__new__(LaurentPoly)
         res.nvars = self.nvars
         res.terms = out

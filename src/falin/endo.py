@@ -26,7 +26,9 @@ of linear_combinations), caches the product of every word prefix instead.
 
 ``invert`` takes scalar maps only, as every map document is,
 raises ``SingularMatrix`` for a singular linear part, and removes a
-constant part by a translation before inverting the rest.
+constant part by a translation before inverting the rest.  It ends in
+``prove_inverse``, the one two-sided inverse check, which the linearization
+pipeline runs too.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     """Two-sided inverse of an automorphism over the scalars.
 
     A map with Laurent coefficients raises ``RankMismatch`` before any work,
-    and a singular linear part raises ``linalg.inverse``'s ``SingularMatrix``.
+    a ``max_degree`` below 1 raises ValueError, and a singular linear part
+    raises ``linalg.inverse``'s ``SingularMatrix``.
 
     A constant part b is removed by a translation first: with f = f0 + b,
     f^-1(z) = f0^-1(z - b).  f0, with linear part A, is inverted in the
@@ -233,43 +236,48 @@ def invert(f: PolyMap, max_degree: Optional[int] = None) -> PolyMap:
     starts in degree 2, so ``max_degree`` - 1 passes suffice.  h = A^-1 q
     is formed from q = A h over the integers (linear_combinations), so it
     is in stored form; h - A^-1 r itself can sum two Fractions to an
-    integral one.  The result satisfies compose(h, f) = compose(f, h)
-    = identity exactly (verified on f itself, not assumed), or f has no
-    polynomial inverse within the bound; a zero residual stands in for
-    compose(h, f) only when f has no constant part and deg h * deg f <=
-    ``max_degree``, so that no product in it was cut.
+    integral one.  prove_inverse then checks h on f itself, or f has no
+    polynomial inverse within the bound.
 
     ``max_degree`` defaults to the degree of f itself.  The linearization
-    pipeline does not call it: it reads beta^-1 off the action's weight
-    components and proves it with the same two-sided check.
+    pipeline does not call it: it reads Y^-1 off the action's weight
+    components and proves it with the same prove_inverse.
     """
     if f.nvars is not None:
         raise RankMismatch("invert takes a map with scalar coefficients")
     if max_degree is None:
         max_degree = max(f.degree(), 1)
     if max_degree < 1:
-        raise NotPolynomialInverseWithinBound("degree bound must be at least 1")
+        raise ValueError("degree bound must be at least 1")
     inv_matrix = linalg.inverse(linear_part(f))  # raises SingularMatrix
     b = constant_part(f)
     f0 = f if not any(b) else PolyMap([
         img - FreePoly.const(f.rank, x) for img, x in zip(f.images, b)])
     ident = identity_map(f.rank)
     q, h = ident, linear_map(f.rank, inv_matrix)  # h = A^-1 q throughout
-    exact = False  # whether the zero residual is compose(h, f) itself
     for _ in range(max_degree - 1):
         error = compose(h, f0, max_degree=max_degree)
         if error == ident:
-            exact = not any(b) and h.degree() * f.degree() <= max_degree
             break
         q = PolyMap([p - e + z for p, e, z in
                      zip(q.images, error.images, ident.images)])
         h = PolyMap(linear_combinations(inv_matrix, q))
     if any(b):
         h = compose(translation_map(f.rank, [-x for x in b]), h)
-    if not exact and compose(h, f) != ident or compose(f, h) != ident:
-        raise NotPolynomialInverseWithinBound(
-            f"no polynomial inverse of degree <= {max_degree}")
+    prove_inverse(f, h, max_degree)
     return h
+
+
+def prove_inverse(f: PolyMap, h: PolyMap, bound: int) -> None:
+    """Raise NotPolynomialInverseWithinBound unless h is f's inverse.
+
+    That is: deg h <= ``bound``, and compose(h, f) and compose(f, h) are
+    both the identity, formed in full and compared exactly.
+    """
+    ident = identity_map(f.rank)
+    if h.degree() > bound or compose(h, f) != ident or compose(f, h) != ident:
+        raise NotPolynomialInverseWithinBound(
+            f"no polynomial inverse of degree <= {bound}")
 
 
 def conjugate_by_translation(f: PolyMap, c: Sequence) -> PolyMap:

@@ -27,9 +27,8 @@ class SingularMatrix(FalinError):
 class NotPolynomialInverseWithinBound(FalinError):
     """No two-sided polynomial inverse within the degree bound.
 
-    Raised by ``invert`` when its series iteration ends without one, and by
-    the linearization pipeline when the beta^-1 it reads off exceeds the
-    bound or fails to invert beta on both sides.
+    Raised by ``endo.prove_inverse`` alone, which ``invert`` ends in and
+    the linearization pipeline runs on the Y^-1 it reads off.
     """
 
 

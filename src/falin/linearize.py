@@ -6,21 +6,22 @@ part A, rejects the action if the weight matrix is singular, and otherwise
 reads the conjugating automorphism beta off the weight components of
 sigma: beta(z_i) is the t^{m_i} part of the i-th image of the diagonalized
 action, and since the base change does not touch t, that part is taken
-before it.  beta^-1 is read off the same components, from the
-lowest-degree part of each (see linearize), with the same P^-1.
+before it, as Y = P^-1 o beta.  Y^-1 is read off the same components, from
+the lowest-degree part of each (see linearize).
 
 The defining property of beta is the conjugation identity
 
     sigma(t) o beta = beta o tau(t),
 
-equivalently tau(t) = beta^-1 o sigma(t) o beta.  The pipeline proves both
-inverse compositions and that identity exactly rather than trusting the
-construction.  With gamma = T_-c o P^-1 o beta, the identity is checked as
-sigma(t) = gamma o tau(t) o gamma^-1 one t-part at a time over scalar
-images, gamma^-1 built from the proven beta^-1, so no Laurent coefficient
-is multiplied.  Together they certify that sigma is an action, since it is
+equivalently tau(t) = beta^-1 o sigma(t) o beta.  The pipeline proves Y^-1
+on both sides (endo.prove_inverse) and that identity exactly rather than
+trusting the construction.  With gamma = T_-c o Y, the identity is checked
+as sigma(t) = gamma o tau(t) o gamma^-1 one t-part at a time over scalar
+images, with gamma^-1(z_i) = Y^-1(z_i) + c_i, so no Laurent coefficient is
+multiplied.  Together they certify that sigma is an action, since it is
 then conjugate to tau, so the action axioms are checked only when that
-certificate is missing.  A report with verified=False is returned, never
+certificate is missing.  beta = P o Y and beta^-1 = Y^-1 o P^-1 are formed
+for the report only.  A report with verified=False is returned, never
 silently dropped; it indicates a bug.
 """
 
@@ -31,11 +32,10 @@ from typing import Optional
 
 from . import linalg
 from .coefficients import LaurentPoly
-from .endo import (PolyMap, compose, conjugate_by_translation, identity_map,
+from .endo import (PolyMap, compose, conjugate_by_translation,
                    linear_combinations, linear_map, linear_part,
-                   substitute_parts, translation_map)
-from .errors import (AxiomsFail, FalinError, NotEffective,
-                     NotPolynomialInverseWithinBound)
+                   prove_inverse, substitute_parts, translation_map)
+from .errors import AxiomsFail, FalinError, NotEffective
 from .freealg import FreePoly, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
                     weight_decomposition)
@@ -76,14 +76,16 @@ def extract_beta(action: TorusAction, base_change, weights) -> PolyMap:
     touch t, so taking a t-coefficient commutes with it, and
     beta(z_i) = Y_i(P z) with Y_i = sum_j (P^-1)_{ij} g_{j,m_i}.
     """
-    return _conjugator(action.map, base_change, weights)[0]
+    y = _conjugator(action.map, base_change, weights)[0]
+    return compose(linear_map(action.rank, base_change), y)
 
 
 def _conjugator(moved: PolyMap, base_change, weights):
-    """(beta, Y, P^-1, components) for sigma(t) = ``moved`` (see extract_beta).
+    """(Y, P^-1, components) for sigma(t) = ``moved`` (see extract_beta).
 
     components[j] is {m: g_{j,m}}; P^-1 and the components are returned so
-    that the pipeline reads beta^-1 off them without forming them again.
+    that the pipeline reads Y^-1 off them and forms beta^-1 without forming
+    them again.
     """
     n = moved.rank
     inverse = linalg.inverse(base_change)
@@ -93,7 +95,7 @@ def _conjugator(moved: PolyMap, base_change, weights):
         linear_combinations([row], PolyMap(
             [parts.get(tuple(m), zero) for parts in components]))[0]
         for row, m in zip(inverse, weights)])
-    return compose(linear_map(n, base_change), y), y, inverse, components
+    return y, inverse, components
 
 
 def _lowest_parts(components, n: int) -> PolyMap:
@@ -122,16 +124,14 @@ def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
     return compose(action.map, beta) == compose(beta, tau.map)
 
 
-def _conjugates_tau(action: TorusAction, gamma: PolyMap,
-                    report: LinearizationReport) -> bool:
+def _conjugates_tau(action: TorusAction, gamma: PolyMap, h: PolyMap,
+                    center, weights) -> bool:
     """Exact check of sigma(t) = gamma o tau(t) o gamma^-1, one t-part at a time.
 
-    gamma = T_-c o P^-1 o beta for the report's fixed point c, base change
-    P and beta.  The pipeline proved beta o beta^-1 = beta^-1 o beta = id
-    for the beta^-1 it read off, and P P^-1 = I exactly, so
-    gamma^-1 = beta^-1 o P o T_c, with
-    gamma^-1(z_i) = sum_j P_ij beta^-1(z_j) + c_i, is a two-sided inverse.
-    Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
+    gamma = T_-c o Y for the fixed point c = ``center``, and the pipeline
+    proved h = Y^-1 on both sides, so gamma^-1 = h o T_c, with
+    gamma^-1(z_i) = h_i + c_i, is a two-sided inverse.  Given one,
+    sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
     sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t) scales
     each word of gamma^-1(z_i) by its weight, and distinct weights never
     cancel, so the identity holds exactly when gamma substituted into each
@@ -139,9 +139,8 @@ def _conjugates_tau(action: TorusAction, gamma: PolyMap,
     t-component of sigma(t)(z_i).  The check stops at the first image that
     differs; every product in it is integer by integer.
     """
-    inverse = linear_combinations(report.base_change, report.beta_inverse)
-    polys = (weight_parts(inv + c, report.weights)
-             for inv, c in zip(inverse, report.fixed_point))
+    polys = (weight_parts(img + c, weights)
+             for img, c in zip(h.images, center))
     for img, parts in zip(action.map.images, substitute_parts(gamma, polys)):
         if dict(parts) != t_components(img):
             return False
@@ -183,7 +182,7 @@ def linearize(action: TorusAction,
     Genuine actions raise FixedPointNotFound when the point read off the
     t-constant part is not fixed (proof that the action is not effective),
     NotEffective (carrying the partial report) when the weight matrix is
-    singular, and NotPolynomialInverseWithinBound if beta fails to invert
+    singular, and NotPolynomialInverseWithinBound if Y fails to invert
     within degree deg(sigma).  They never raise NotDiagonalizable: at a
     verified fixed point the linear part of an action is a torus
     representation, which diagonalizes, so that error comes only from a
@@ -195,12 +194,14 @@ def linearize(action: TorusAction,
     the words of h_j of weight mu.  The weights are linearly independent,
     so a word's weight fixes its letter counts and (h_j)_mu is homogeneous;
     since Y = P^-1 z + (degree >= 2), the lowest-degree part of g_{j,mu} is
-    (h_j)_mu(P^-1 z), of the same degree.  Hence deg h <= deg sigma, and
-    beta^-1 = h o P^-1 has the degree of h.  It is read off directly: with
-    H_j = sum_mu low(g_{j,mu}) = h_j(P^-1 z), beta^-1(z_i) =
-    sum_j (P^-1)_{ij} H_j(P z).  The pipeline proves that map's degree is
-    within the bound and that it is a two-sided inverse of beta; when
-    either fails, it raises NotPolynomialInverseWithinBound.
+    (h_j)_mu(P^-1 z), of the same degree.  Hence deg h <= deg sigma.  h is
+    read off directly: with H_j = sum_mu low(g_{j,mu}) = h_j(P^-1 z),
+    h_j = H_j(P z).  The pipeline proves that h's degree is within the
+    bound and that it is a two-sided inverse of Y (endo.prove_inverse),
+    or raises NotPolynomialInverseWithinBound.  That is the proof for
+    beta and beta^-1 = h o P^-1 = P^-1 h as well: P is exact, so
+    compose(beta^-1, beta) = compose(h, Y), compose(beta, beta^-1) is the
+    identity exactly when compose(Y, h) is, and deg beta^-1 = deg h.
     """
     if max_degree is not None and max_degree < 1:
         raise ValueError("degree bound must be at least 1")
@@ -228,26 +229,21 @@ def _pipeline(action: TorusAction,
                 base_change=base_change, weights=weights,
                 beta=None, beta_inverse=None, degree=action.degree,
                 verified=None))
-    beta, y, inverse, components = _conjugator(moved, base_change, weights)
+    y, inverse, components = _conjugator(moved, base_change, weights)
     bound = action.degree if max_degree is None else max_degree
-    # beta^-1 = h o P^-1 with h(z) = H(P z), proved on both sides below
-    beta_inverse = PolyMap(linear_combinations(inverse, compose(
-        linear_map(n, base_change), _lowest_parts(components, n))))
-    ident = identity_map(n)
-    if (beta_inverse.degree() > bound or compose(beta_inverse, beta) != ident
-            or compose(beta, beta_inverse) != ident):
-        raise NotPolynomialInverseWithinBound(
-            f"no polynomial inverse of degree <= {bound}")
-    report = LinearizationReport(
+    p = linear_map(n, base_change)
+    # h = Y^-1 with h(z) = H(P z) (see linearize), proved on both sides
+    h = compose(p, _lowest_parts(components, n))
+    prove_inverse(y, h, bound)
+    # Verify against the original sparse action: with gamma folding the
+    # translation into Y, the identity is literally equivalent to the
+    # diagonalized-level conjugation identity, and the original images are
+    # far cheaper than the dense diagonalized conjugate.
+    gamma = compose(translation_map(n, [-x for x in center]), y)
+    verified = _conjugates_tau(action, gamma, h, center, weights)
+    return LinearizationReport(
         rank=n, effective=True, fixed_point=tuple(center),
         base_change=base_change, weights=weights,
-        beta=beta, beta_inverse=beta_inverse,
-        degree=bound, verified=None)
-    # Verify against the original sparse action: with gamma folding the
-    # translation and base change into beta, the identity is literally
-    # equivalent to the diagonalized-level conjugation identity, and the
-    # original images are far cheaper than the dense diagonalized
-    # conjugate.  P^-1 o beta is y itself.
-    gamma = compose(translation_map(n, [-x for x in center]), y)
-    report.verified = _conjugates_tau(action, gamma, report)
-    return report
+        beta=compose(p, y),
+        beta_inverse=PolyMap(linear_combinations(inverse, h)),
+        degree=bound, verified=verified)

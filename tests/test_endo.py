@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -15,8 +16,8 @@ from falin import (FreePoly, LaurentPoly, PolyMap, RankMismatch,
                    build_tau, constant_part, gen_action, identity_map, invert,
                    linear_part)
 from falin import endo, freealg
-from falin.endo import (linear_combinations, linear_map, substitute_parts,
-                        translation_map)
+from falin.endo import (linear_combinations, linear_map, prove_inverse,
+                        substitute_parts, translation_map)
 from falin.freealg import f_substitute
 from falin.textio import render
 
@@ -27,9 +28,10 @@ from test_freealg import (assert_stored_form, laurent_polys,
 
 
 # sha256 over render(invert(f, max_degree)), or the raised error's class
-# name, for every map of corpus_alpha_maps() at three bounds
+# name, for every map of corpus_alpha_maps() at three bounds; the bound
+# deg alpha^-1 - 1 is 0 for 144 of them, a caller error (ValueError)
 CORPUS_INVERT_DIGEST = (
-    "af3a84c847bb2aab26b979c00e33c7a23d0d2309e35d017ce845bf034e6a9164")
+    "5fb14857f0a524d6da0f61626df1bbf32477ba685769ad889969691dfe25d54e")
 
 
 def P(rank, terms, nvars=None):
@@ -389,6 +391,34 @@ class TestInvert:
                 invert(f)
         assert calls == []
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_is_a_value_error(self, monkeypatch, bound):
+        calls = []
+        monkeypatch.setattr(endo, "compose", lambda *args: calls.append(args))
+        f = PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (1, 1): 1})])
+        with pytest.raises(ValueError, match="^degree bound must be at least 1$"):
+            invert(f, bound)
+        assert calls == []
+
+    def test_ends_in_one_inverse_proof(self, monkeypatch):
+        calls = []
+
+        def spy(f, h, bound):
+            calls.append((f, h, bound))
+            return prove_inverse(f, h, bound)
+
+        monkeypatch.setattr(endo, "prove_inverse", spy)
+        for f, bound in islice(corpus_alpha_maps(), 20):
+            for max_degree in (None, bound + 1, bound):
+                calls.clear()
+                h = invert(f, max_degree)
+                assert calls == [(f, h, max_degree or max(f.degree(), 1))]
+        f = PolyMap([P(1, {(1,): 1, (1, 1): 1})])
+        calls.clear()
+        with pytest.raises(NotPolynomialInverseWithinBound):
+            invert(f, 3)
+        assert len(calls) == 1
+
     def test_no_polynomial_inverse_within_bound(self):
         f = PolyMap([P(1, {(1,): 1, (1, 1): 1})])
         with pytest.raises(NotPolynomialInverseWithinBound):
@@ -421,8 +451,7 @@ class TestInvert:
         assert compose(h, f) == compose(f, h) == identity_map(2)
 
     def test_certificate_products_are_exact(self, monkeypatch):
-        # the compose(h, f) that certifies h is never cut at the bound, also
-        # where the last residual stands in for it
+        # the compose(h, f) that certifies h is never cut at the bound
         calls = []
 
         def spy(g, f, max_degree=None):
@@ -512,6 +541,32 @@ def corpus_alpha_maps():
         yield PolyMap([img + rand_fraction(rng) for img in moved.images]), bound
 
 
+class TestProveInverse:
+    def test_accepts_what_invert_returns(self):
+        for f, bound in corpus_alpha_maps():
+            prove_inverse(f, invert(f, bound), bound)
+
+    def test_rejects_a_wrong_inverse(self):
+        f = PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (1, 1): 1})])
+        wrong = [f, identity_map(2),
+                 PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (1, 1): -2})]),
+                 PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (2, 2): -1})])]
+        for h in wrong:
+            with pytest.raises(NotPolynomialInverseWithinBound,
+                               match="^no polynomial inverse of degree <= 2$"):
+                prove_inverse(f, h, 2)
+
+    def test_rejects_a_degree_above_the_bound(self, monkeypatch):
+        f = PolyMap([P(2, {(1,): 1}), P(2, {(2,): 1, (1, 1): 1})])
+        h = invert(f, 2)
+        calls = []
+        monkeypatch.setattr(endo, "compose", lambda *args: calls.append(args))
+        with pytest.raises(NotPolynomialInverseWithinBound) as err:
+            prove_inverse(f, h, 1)
+        assert str(err.value) == "no polynomial inverse of degree <= 1"
+        assert calls == []  # the degree alone decides
+
+
 class TestInvertPinned:
     def test_corpus_alpha_inverses_pinned_in_stored_form(self):
         digest = hashlib.sha256()
@@ -519,7 +574,7 @@ class TestInvertPinned:
             for max_degree in (None, bound, bound - 1):
                 try:
                     h = invert(f, max_degree)
-                except NotPolynomialInverseWithinBound as err:
+                except (NotPolynomialInverseWithinBound, ValueError) as err:
                     digest.update(f"error:{type(err).__name__}\n".encode())
                     continue
                 assert_integral_as_int(h)

@@ -1,6 +1,5 @@
 """The linearization pipeline on worked examples and constructed failures."""
 
-import dataclasses
 import hashlib
 import importlib
 import random
@@ -68,6 +67,52 @@ def shifted_actions():
         actions.append(TorusAction(conjugate_by_translation(
             action.map, [-c for c in shift])))
     return actions
+
+
+# Anick's automorphism of the free algebra on three generators, which
+# Umirbaev proved wild: w = z1*z3 - z3*z2 is invariant, so the inverse
+# flips both signs
+ANICK = """rank 3
+map
+z1 -> z1 + z3*(z1*z3 - z3*z2)
+z2 -> z2 + (z1*z3 - z3*z2)*z3
+z3 -> z3
+end
+"""
+ANICK_INVERSE = ANICK.replace("+", "-")
+
+WILD_WEIGHTS = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[2, -1, 0], [0, 1, 3], [-1, 0, 1]],
+                [[1, 1, 1], [0, -2, 1], [3, 0, -1]])
+
+# SHA-256 of each wild action's report as ``falin linearize`` prints it
+# (with its newline), by conjugator and weight matrix
+WILD_REPORT_DIGESTS = {
+    ("anick", 0): "9247a14580072bd5e7ba62fb24a8617c3748e2963b2ffc72d11803e3c666f31e",
+    ("anick", 1): "e66ff3555dc0ab4de40d8e4f420b1e086e60cf3d7b987bfc85f9e7c9f5ff2e26",
+    ("anick", 2): "ae58ab5034d00fb2363398b8bba6e634f50f3da8721744d5afd4ba11bcbcf241",
+    ("sheared", 0): "81d6027767497d09236aae243002e2ff9e6efa543a76c44175b4db709e5b89df",
+    ("sheared", 1): "3f231c41d359dd9deae5a938996bcee3beb5de20d38d936bb58b18fbb6af661d",
+    ("sheared", 2): "8d5b6b2f79acf452c727beafdb6642334d8bcb8007ca95a7c5bba682b7c61d2c",
+}
+
+
+def wild_actions():
+    """[(key, sigma, M)]: sigma = alpha o tau_M o alpha^-1 for alpha Anick's
+    map alone and after the shear z1 -> z1 - z2/2, for each M of
+    WILD_WEIGHTS, built by compose alone."""
+    alpha = parse(ANICK).to_map()
+    alpha_inv = parse(ANICK_INVERSE).to_map()
+    shear = [[1, Fraction(-1, 2), 0], [0, 1, 0], [0, 0, 1]]
+    conjugators = {
+        "anick": (alpha, alpha_inv),
+        "sheared": (compose(alpha, linear_map(3, shear)),
+                    compose(linear_map(3, linalg.inverse(shear)), alpha_inv)),
+    }
+    return [((name, i),
+             TorusAction(compose(a, compose(build_tau(m).map, a_inv))), m)
+            for name, (a, a_inv) in conjugators.items()
+            for i, m in enumerate(WILD_WEIGHTS)]
 
 
 def gamma_of(report):
@@ -279,6 +324,30 @@ class TestLinearize:
                     assert type(c) is (int if c.denominator == 1 else Fraction)
 
 
+class TestWildConjugators:
+    """Actions conjugated by Anick's wild automorphism, which no product of
+    linear and elementary maps (every generated alpha) reaches."""
+
+    def test_anick_inverse_flips_both_signs(self):
+        alpha = parse(ANICK).to_map()
+        alpha_inv = parse(ANICK_INVERSE).to_map()
+        assert compose(alpha, alpha_inv) == identity_map(3)
+        assert compose(alpha_inv, alpha) == identity_map(3)
+
+    def test_linearize_recovers_the_planted_weights(self):
+        for key, sigma, weights in wild_actions():
+            assert sigma.degree == 5
+            assert check_axioms(sigma).ok
+            report = linearize(sigma)
+            assert report.verified
+            assert sorted(map(tuple, report.weights)) == \
+                sorted(map(tuple, weights))
+            assert report.beta_inverse.degree() <= sigma.degree
+            printed = (emit_report(report) + "\n").encode()
+            assert hashlib.sha256(printed).hexdigest() == \
+                WILD_REPORT_DIGESTS[key], key
+
+
 def bumped_corpus_action(seed, k, delta):
     """Corpus action whose k-th graded-lex term of z1's image gains delta(rank)."""
     action, _ = gen_action(corpus_spec(seed))
@@ -393,7 +462,11 @@ class TestScalarCertificate:
         for action in actions:
             report = linearize(action)
             gamma = gamma_of(report)
-            assert conjugates_tau(action, gamma, report)
+            # h = Y^-1 = beta^-1 o P, and gamma^-1 = h o T_c
+            h = compose(report.beta_inverse,
+                        linear_map(report.rank, report.base_change))
+            center = report.fixed_point
+            assert conjugates_tau(action, gamma, h, center, report.weights)
             assert verify_conjugation(action, gamma, report.weights)
 
             first = action.map.images[0]
@@ -403,14 +476,41 @@ class TestScalarCertificate:
             bumped = TorusAction(PolyMap([
                 FreePoly(action.rank, terms, action.rank),
                 *action.map.images[1:]]))
-            assert not conjugates_tau(bumped, gamma, report)
+            assert not conjugates_tau(bumped, gamma, h, center,
+                                      report.weights)
             assert not verify_conjugation(bumped, gamma, report.weights)
 
             weights = [list(row) for row in report.weights]
             weights[0], weights[1] = weights[1], weights[0]
-            swapped = dataclasses.replace(report, weights=weights)
-            assert not conjugates_tau(action, gamma, swapped)
+            assert not conjugates_tau(action, gamma, h, center, weights)
             assert not verify_conjugation(action, gamma, weights)
+
+    def test_proves_one_inverse_per_effective_linearize(self, ex_a,
+                                                         monkeypatch):
+        module = importlib.import_module("falin.linearize")
+        calls = []
+        prove = module.prove_inverse
+
+        def counting(f, h, bound):
+            calls.append(bound)
+            return prove(f, h, bound)
+
+        monkeypatch.setattr(module, "prove_inverse", counting)
+        actions = (self.actions(ex_a) + shifted_actions()[:4]
+                   + [sigma for _, sigma, _ in wild_actions()])
+        for action in actions:
+            calls.clear()
+            assert linearize(action).verified
+            assert calls == [action.degree]
+        calls.clear()
+        with pytest.raises(NotPolynomialInverseWithinBound):
+            linearize(ex_a, max_degree=1)  # beta^-1 has degree 2
+        assert calls == [1]
+        calls.clear()
+        alpha, alpha_inv = elementary_alpha()
+        with pytest.raises(NotEffective):
+            linearize(conjugated_action(alpha, alpha_inv, [[1, 0], [1, 0]]))
+        assert calls == []
 
 
 class TestReadOffInverse:
