@@ -3,7 +3,9 @@
 Every generated action has the form sigma = alpha o tau_M o alpha^-1 where
 tau_M is the diagonal action of an integer weight matrix M and alpha is a
 composition of elementary automorphisms (z_i -> z_i + p with p free of
-z_i, so the inverse is explicit) and one invertible integer linear map.
+z_i, so the inverse is explicit) and one unimodular integer linear map,
+whose integer inverse is built alongside it from the inverse of each row
+operation, so no matrix is inverted.
 sigma is built one t-part at a time: tau_M scales each word w of
 alpha^-1(z_i) by t^{M(w)}, so the t^mu part of sigma(z_i) is alpha's scalar
 images substituted into the words of weight mu, by the certificate's own
@@ -58,24 +60,19 @@ def substitution_cost(outer: PolyMap, inner: PolyMap) -> int:
     hands out are certified cheap to compose with themselves, which is
     exactly the shape of the axiom check and the verification steps.
     """
-    sizes = [max(1, len(img.terms)) for img in outer.images]
-    total = 0
-    for img in inner.images:
-        for word in img.terms:
-            cost = 1
-            for letter in word:
-                cost *= sizes[letter - 1]
-            total += cost
-    return total
+    # indexed by letter
+    size = [1, *(max(1, len(img.terms)) for img in outer.images)].__getitem__
+    return sum(prod(map(size, word))
+               for img in inner.images for word in img.terms)
 
 
 def _prefilter(g: PolyMap, f: PolyMap, cap: int):
     """Reject compose(g, f) on g's degrees and term counts, before any work."""
     # the degree bound over-counts (conjugation cancels a lot), so only
     # blatant blowups are rejected here
-    g_degrees = [max(1, img.degree()) for img in g.images]
-    bound = max((sum(g_degrees[l - 1] for l in word) if word else 0
-                 for img in f.images for word in img.terms), default=0)
+    weigh = [0, *(max(1, img.degree()) for img in g.images)].__getitem__
+    bound = max((sum(map(weigh, word)) for img in f.images
+                 for word in img.terms), default=0)
     if bound > 3 * cap:
         raise DegreeBlowupExceeded(f"composition degree bound {bound} too large")
     if substitution_cost(g, f) > _COST_CAP:
@@ -146,9 +143,18 @@ def gen_elementary(rank: int, rng: random.Random, max_poly_degree: int,
 
 
 def _random_unimodular(rank: int, rng: random.Random):
-    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    """(M, M^-1): a random integer matrix of determinant +-1 and its inverse.
+
+    M is built from the identity by row operations, and M^-1 alongside by
+    the inverse column operations: M <- E M makes M^-1 <- M^-1 E^-1, so
+    row_i += c row_j is undone by col_j -= c col_i, and a row sign flip by
+    the same column sign flip.  Both stay integer, and nothing is inverted.
+    """
     if rank == 1:
-        return [[rng.choice((1, -1))]]
+        m = [[rng.choice((1, -1))]]
+        return m, m
+    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    inv = [row[:] for row in m]
     for _ in range(2 * rank):
         i = rng.randrange(rank)
         j = rng.randrange(rank)
@@ -156,10 +162,14 @@ def _random_unimodular(rank: int, rng: random.Random):
             j = rng.randrange(rank)
         c = rng.choice((-2, -1, 1, 2))
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in inv:
+            row[j] -= c * row[i]
     for i in range(rank):
         if rng.randrange(4) == 0:
             m[i] = [-a for a in m[i]]
-    return m
+            for row in inv:
+                row[i] = -row[i]
+    return m, inv
 
 
 def _over_cap(cap: int) -> DegreeBlowupExceeded:
@@ -289,11 +299,11 @@ def _attempt(spec: CorpusSpec, rng: random.Random):
     else:
         weights = _draw_weights(spec, rng)
     if spec.include_linear:
-        matrix = _random_unimodular(spec.rank, rng)
+        matrix, inverse = _random_unimodular(spec.rank, rng)
     else:
-        matrix = linalg.identity(spec.rank)
+        matrix = inverse = linalg.identity(spec.rank)
     alpha = linear_map(spec.rank, matrix)
-    alpha_inv = linear_map(spec.rank, linalg.inverse(matrix))
+    alpha_inv = linear_map(spec.rank, inverse)
     for k in range(spec.n_elementary):
         fwd, back = gen_elementary(spec.rank, rng, spec.max_poly_degree,
                                    target=1 + k % spec.rank)

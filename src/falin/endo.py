@@ -19,7 +19,11 @@ scales and its own common denominator, the substitution runs over the
 integers, and each output term is divided once.  Scaling by nonzero
 constants changes no support and the arithmetic is exact, so the result is
 the same normalized map as a substitution over the rationals would give,
-without a gcd in every product.  compose evaluates in Horner form;
+without a gcd in every product.  The scaling itself builds no Fraction: an
+image whose coefficients are all ``int`` is used uncopied, a part that is
+all ``int`` under unit scales is used as it is, every scaled term is an
+integer quotient, and a Fraction is built only for an output quotient that
+is not an integer.  compose evaluates in Horner form;
 substitute_parts, the kernel for many small parts at once (the weight
 parts of the certificate and of the corpus generator's sigma, and the rows
 of linear_combinations), caches the product of every word prefix instead.
@@ -34,7 +38,7 @@ pipeline runs too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
@@ -92,14 +96,14 @@ def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap
 
     A Laurent f under scalar g is substituted one t-part at a time
     (evaluate_by_t), so no Laurent coefficient is multiplied.  When g is
-    scalar and some coefficient of g or f is not an ``int``, the
-    denominators are cleared first: g_j becomes D_j g_j with integer
-    coefficients, the coefficient c_w of f_i (of each t-part of f_i) becomes
-    L c_w / D_w, where D_w is the product of D_j over the letters of w and
-    L clears what is left, and every output term of the integer
-    substitution is divided by L.  Since
+    scalar, the denominators are cleared first: g_j becomes D_j g_j with
+    integer coefficients, the coefficient c_w of f_i (of each t-part of
+    f_i) becomes L c_w / D_w, where D_w is the product of D_j over the
+    letters of w and L clears what is left, and every output term of the
+    integer substitution is divided by L.  Since
     f_i(g) = (1/L) sum_w (L c_w / D_w) prod_k D_{w_k} g_{w_k}, the result is
-    exact, and ``max_degree`` cuts the same words.  Every scalar result
+    exact, and ``max_degree`` cuts the same words.  All-``int`` images and
+    parts pass through that scaling as they are.  Every scalar result
     stores ``int`` where integral and no zeros.
     """
     if g.rank != f.rank:
@@ -107,17 +111,11 @@ def compose(g: PolyMap, f: PolyMap, max_degree: Optional[int] = None) -> PolyMap
     if g.nvars is not None:
         return PolyMap([f_substitute(img, g.images, max_degree)
                         for img in f.images])
-    if all(type(c) is int for m in (g, f) for img in m.images
-           for coeff in img.terms.values()
-           for c in (coeff.terms.values() if m.nvars else (coeff,))):
-        def part(terms):
-            return _horner(terms, g.images, max_degree)
-    else:
-        scales, images = _cleared_images(g)
+    scales, images = _cleared_images(g)
 
-        def part(terms):
-            common, cleared = _absorb_scales(terms, scales)
-            return _divide_terms(_horner(cleared, images, max_degree), common)
+    def part(terms):
+        common, cleared = _absorb_scales(terms, scales)
+        return _divide_terms(_horner(cleared, images, max_degree), common)
 
     return PolyMap([FreePoly._raw(g.rank, img.nvars, evaluate_by_t(img, part)
                                   if img.nvars else part(img.terms))
@@ -168,10 +166,21 @@ def substitute_parts(g: PolyMap, polys):
 
 
 def _cleared_images(g: PolyMap):
-    """(scales, images): images[j] = scales[j] * g_j, integer coefficients."""
-    scales, images = [], []
+    """(scales, images): images[j - 1] = scales[j] * g_j has integer
+    coefficients; scales is indexed by letter, with scales[0] = 1.
+
+    An image whose coefficients all have type ``int`` is passed through
+    with scale 1, uncopied; an integral Fraction (which a raw term map may
+    hold) is cleared like any other.
+    """
+    scales, images = [1], []
     for img in g.images:
-        d, ints = clear_denominators(img.terms.values())
+        values = img.terms.values()
+        if all(type(c) is int for c in values):
+            scales.append(1)
+            images.append(img)
+            continue
+        d, ints = clear_denominators(values)
         scales.append(d)
         images.append(FreePoly._raw(img.rank, None, dict(zip(img.terms, ints))))
     return scales, images
@@ -180,19 +189,31 @@ def _cleared_images(g: PolyMap):
 def _absorb_scales(terms, scales):
     """(L, {w: L c_w / D_w}), D_w the product of scales over the letters of
     w: those integer terms under _cleared_images, divided by L
-    (_divide_terms), are the terms under the original images."""
-    absorbed = []
-    for w, c in terms.items():
-        d = c.denominator * prod([scales[letter - 1] for letter in w])
-        absorbed.append(c if d == 1 else Fraction(c.numerator, d))
-    common, ints = clear_denominators(absorbed)
-    return common, dict(zip(terms, ints))
+    (_divide_terms), are the terms under the original images.
+
+    With c_w = n/d', D = d' D_w and L the lcm of the reduced denominators
+    D / gcd(n, D), each term is the integer n L // D, so no Fraction is
+    built.  All-``int`` terms under unit scales are returned as they are.
+    """
+    if max(scales) == 1 and all(type(c) is int for c in terms.values()):
+        return 1, terms
+    scale = scales.__getitem__
+    pairs = [(c.numerator, c.denominator * prod(map(scale, w)))
+             for w, c in terms.items()]
+    common = lcm(*[d // gcd(n, d) for n, d in pairs])
+    return common, dict(zip(terms, [n * common // d for n, d in pairs]))
 
 
 def _divide_terms(terms, d: int):
-    """The term map with every value divided by d, in stored form."""
-    return terms if d == 1 else {
-        w: normalize_scalar(Fraction(c, d)) for w, c in terms.items()}
+    """The term map with every value divided by d, in stored form: a
+    Fraction only where the quotient is not an integer."""
+    if d == 1:
+        return terms
+    out = {}
+    for w, c in terms.items():
+        q, r = divmod(c, d)
+        out[w] = Fraction(c, d) if r else q
+    return out
 
 
 def linear_combinations(matrix, g: PolyMap) -> list:

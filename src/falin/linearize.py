@@ -18,9 +18,11 @@ on both sides (endo.prove_inverse) and that identity exactly rather than
 trusting the construction.  With gamma = T_-c o Y, the identity is checked
 as sigma(t) = gamma o tau(t) o gamma^-1 one t-part at a time over scalar
 images, with gamma^-1(z_i) = Y^-1(z_i) + c_i, so no Laurent coefficient is
-multiplied.  Together they certify that sigma is an action, since it is
-then conjugate to tau, so the action axioms are checked only when that
-certificate is missing.  beta = P o Y and beta^-1 = Y^-1 o P^-1 are formed
+multiplied.  At the origin gamma = Y, composed with no translation, and the
+check reuses the t-components that reading off Y split sigma into, so each
+image is split once.  Together they certify that sigma is an action, since
+it is then conjugate to tau, so the action axioms are checked only when
+that certificate is missing.  beta = P o Y and beta^-1 = Y^-1 o P^-1 are formed
 for the report only.  A report with verified=False is returned, never
 silently dropped; it indicates a bug.
 """
@@ -124,25 +126,27 @@ def verify_conjugation(action: TorusAction, beta: PolyMap, weights) -> bool:
     return compose(action.map, beta) == compose(beta, tau.map)
 
 
-def _conjugates_tau(action: TorusAction, gamma: PolyMap, h: PolyMap,
+def _conjugates_tau(sigma_parts, gamma: PolyMap, h: PolyMap,
                     center, weights) -> bool:
     """Exact check of sigma(t) = gamma o tau(t) o gamma^-1, one t-part at a time.
 
-    gamma = T_-c o Y for the fixed point c = ``center``, and the pipeline
-    proved h = Y^-1 on both sides, so gamma^-1 = h o T_c, with
-    gamma^-1(z_i) = h_i + c_i, is a two-sided inverse.  Given one,
-    sigma(t) = gamma o tau(t) o gamma^-1 is equivalent to
-    sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t) scales
-    each word of gamma^-1(z_i) by its weight, and distinct weights never
-    cancel, so the identity holds exactly when gamma substituted into each
-    weight part of gamma^-1(z_i) (endo.substitute_parts) is the matching
-    t-component of sigma(t)(z_i).  The check stops at the first image that
-    differs; every product in it is integer by integer.
+    ``sigma_parts`` gives t_components of each image of sigma(t) in turn,
+    so the pipeline hands over the split it already made when sigma fixes
+    the origin.  gamma = T_-c o Y for the fixed point c = ``center`` (just
+    Y at the origin), and the pipeline proved h = Y^-1 on both sides, so
+    gamma^-1 = h o T_c, with gamma^-1(z_i) = h_i + c_i, is a two-sided
+    inverse.  Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent
+    to sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t)
+    scales each word of gamma^-1(z_i) by its weight, and distinct weights
+    never cancel, so the identity holds exactly when gamma substituted into
+    each weight part of gamma^-1(z_i) (endo.substitute_parts) is the
+    matching t-component of sigma(t)(z_i).  The check stops at the first
+    image that differs; every product in it is integer by integer.
     """
-    polys = (weight_parts(img + c, weights)
+    polys = (weight_parts(img + c if c else img, weights)
              for img, c in zip(h.images, center))
-    for img, parts in zip(action.map.images, substitute_parts(gamma, polys)):
-        if dict(parts) != t_components(img):
+    for components, parts in zip(sigma_parts, substitute_parts(gamma, polys)):
+        if dict(parts) != components:
             return False
     return True
 
@@ -156,10 +160,11 @@ def weight_parts(poly: FreePoly, weights) -> dict:
     certificate and for the corpus generator's build and its refusal
     before the build.
     """
-    n = len(weights)
+    rows = [(0,) * len(weights), *map(tuple, weights)]  # indexed by letter
+    row = rows.__getitem__
     parts = {}
     for word, c in poly.terms.items():
-        mu = tuple(sum(weights[l - 1][k] for l in word) for k in range(n))
+        mu = tuple(map(sum, zip(*map(row, word)))) if word else rows[0]
         parts.setdefault(mu, {})[word] = c
     return parts
 
@@ -238,9 +243,14 @@ def _pipeline(action: TorusAction,
     # Verify against the original sparse action: with gamma folding the
     # translation into Y, the identity is literally equivalent to the
     # diagonalized-level conjugation identity, and the original images are
-    # far cheaper than the dense diagonalized conjugate.
-    gamma = compose(translation_map(n, [-x for x in center]), y)
-    verified = _conjugates_tau(action, gamma, h, center, weights)
+    # far cheaper than the dense diagonalized conjugate.  At the origin
+    # gamma is Y and sigma's images are the ones already split by t.
+    if moved is action.map:
+        gamma, sigma_parts = y, components
+    else:
+        gamma = compose(translation_map(n, [-x for x in center]), y)
+        sigma_parts = map(t_components, action.map.images)
+    verified = _conjugates_tau(sigma_parts, gamma, h, center, weights)
     return LinearizationReport(
         rank=n, effective=True, fixed_point=tuple(center),
         base_change=base_change, weights=weights,

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
                    compose, identity_map, map_document, render,
                    verify_conjugation)
+from falin import linalg
 from falin.corpusgen import (_COST_CAP, CorpusSpec, _check_size,
-                             _compose_guarded, _prefilter,
+                             _compose_guarded, _prefilter, _random_unimodular,
                              _refuse_by_top_degree, conjugated_action,
                              gen_action, gen_elementary, substitution_cost)
 from falin.linearize import build_tau
@@ -44,6 +45,12 @@ BEYOND_CORPUS_DIGEST = (
 # on its top-degree term count; the count refuses builds at both call sites.
 REFUSED_BUILDS_DIGEST = (
     "99bcc26609bfa75398593e3638212323af29cbd21fb1757f0fe5cf8f62c44003")
+# SHA-256 over repr(M) of _random_unimodular(rank, Random(seed)) for ranks
+# 1-6 and seeds 0-49, computed by the code that returned M alone and
+# inverted it with linalg.inverse: building M^-1 alongside draws nothing more.
+UNIMODULAR_DIGEST = (
+    "615c9e0a9664c2684e1a5ef8f180b9c4dbc30c50cdb2565a01d4a5e7ee4d8b8e")
+
 REFUSED_SPECS = ([corpus_spec(seed) for seed in range(100, 300)]
                  + [CorpusSpec(rank=rank, seed=cap, n_elementary=factors,
                                max_poly_degree=3, weight_bound=3,
@@ -272,6 +279,39 @@ class TestTopDegreeRefusal:
                     return
                 assert _compose_guarded(g, f, cap) == expected
             alpha, alpha_inv = compose(fwd, alpha), compose(alpha_inv, back)
+
+
+class TestRandomUnimodular:
+    """M and M^-1 from the same row operations, nothing inverted."""
+
+    def test_inverse_is_exact_over_the_integers(self):
+        for rank in range(1, 9):
+            ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
+            for seed in range(100):
+                m, inv = _random_unimodular(rank, random.Random(seed))
+                assert all(type(x) is int for row in m + inv for x in row)
+                assert [[sum(a * b for a, b in zip(row, col))
+                         for col in zip(*inv)] for row in m] == ident
+
+    def test_matrices_pinned(self):
+        digest = hashlib.sha256()
+        for rank in range(1, 7):
+            for seed in range(50):
+                m, _ = _random_unimodular(rank, random.Random(seed))
+                digest.update(repr(m).encode())
+        assert digest.hexdigest() == UNIMODULAR_DIGEST
+
+    def test_generation_inverts_no_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "inverse", calls.append)
+        for seed in range(30):
+            gen_action(corpus_spec(seed))
+        gen_action(CorpusSpec(rank=5, seed=0, n_elementary=5,
+                              max_poly_degree=2, weight_bound=3))
+        gen_action(CorpusSpec(rank=2, seed=5, n_elementary=1,
+                              max_poly_degree=2, weight_bound=2,
+                              include_linear=False))
+        assert calls == []
 
 
 class TestGenAction:

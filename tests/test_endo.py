@@ -194,9 +194,10 @@ class TestComposeLaurentUnderRational:
         assert seen and all(type(c) is int for c in seen)
 
     def test_integer_maps_multiply_no_laurent_coefficient(self, monkeypatch):
-        # compose's all-int path splits a Laurent f by t, as its cleared
-        # path does: an integer translation, and beta o tau as in
-        # verify_conjugation with a generated (integer) alpha for beta
+        # compose splits a Laurent f by t under all-int images too, which
+        # pass its scaling step as they are: an integer translation, and
+        # beta o tau as in verify_conjugation with a generated (integer)
+        # alpha for beta
         _, truth = gen_action(corpus_spec(5))
         f = PolyMap([FreePoly(2, {(1, 2): T1 * 2 - T2, (2,): T1}, 2),
                      FreePoly(2, {(2, 1, 1): T2, (): T1 * -3}, 2)])
@@ -328,6 +329,106 @@ class TestSubstituteParts:
         # z2 z1 once, then z2 z1 z2 from the cached z2 z1
         assert len(products) == 2
         assert seen and all(type(c) is int for c in seen)
+
+
+MIXED_COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-4, 4).map(Fraction))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(g, f, polys, matrix) at ranks 1-3, every coefficient drawn from int,
+    Fraction and integral Fraction, and every term map stored raw.
+
+    Some draws keep g all-int, the case the kernel passes through uncopied.
+    """
+    rank = draw(st.integers(1, 3))
+    g = draw(st.one_of(rational_maps(rank), st.just(rank).map(
+        lambda n: PolyMap([FreePoly.gen(n, i) + 1 for i in range(1, n + 1)]))))
+    terms = st.dictionaries(st.lists(st.integers(1, rank), max_size=3).map(
+        tuple), MIXED_COEFFS.filter(bool), max_size=4)
+    polys = draw(st.lists(st.dictionaries(st.integers(0, 3), terms,
+                                          max_size=3), min_size=1, max_size=3))
+    matrix = draw(st.lists(st.lists(MIXED_COEFFS, min_size=rank,
+                                    max_size=rank), min_size=1, max_size=3))
+    return g, draw(rational_maps(rank)), polys, matrix
+
+
+def fraction_substitute(terms, images, max_degree=None):
+    """Reference: p(images) over Fractions, each word a product of images."""
+    out = {}
+    for word, c in terms.items():
+        product = {(): Fraction(c)}
+        for letter in word:
+            step = {}
+            for w1, a in product.items():
+                for w2, b in images[letter - 1].terms.items():
+                    step[w1 + w2] = step.get(w1 + w2, Fraction(0)) + a * b
+            product = step
+        for w, v in product.items():
+            out[w] = out.get(w, Fraction(0)) + v
+    return {w: v for w, v in out.items()
+            if v and (max_degree is None or len(w) <= max_degree)}
+
+
+def snapshot(term_maps):
+    return [[(w, c, type(c)) for w, c in terms.items()] for terms in term_maps]
+
+
+class TestKernelStoredForm:
+    """compose, substitute_parts and linear_combinations against a plain
+    Fraction reference: equal values, ``int`` wherever a value is integral,
+    and no input term map changed or handed back."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kernel_cases(), st.one_of(st.none(), st.integers(0, 4)))
+    # integral Fractions stored raw in g and f, which clearing must not
+    # pass through as they are
+    @example((PolyMap([FreePoly._raw(2, None, {(1,): Fraction(1), (2,): 2}),
+                       FreePoly._raw(2, None, {(2,): Fraction(-3)})]),
+              PolyMap([FreePoly._raw(2, None, {(1, 2): Fraction(2)}),
+                       FreePoly._raw(2, None, {(2,): 1})]),
+              [{0: {(1,): Fraction(4), (): 1}}], [[Fraction(2), 1]]), None)
+    # all-int g and terms, returned by the scaling step uncleared
+    @example((identity_map(2), PolyMap([P(2, {(1, 2): 3}), P(2, {(2,): -1})]),
+              [{0: {(2, 1): 2}, 1: {(): 5}}], [[1, -2]]), 1)
+    def test_results_match_fraction_reference_in_stored_form(self, case,
+                                                             max_degree):
+        g, f, polys, matrix = case
+        inputs = ([img.terms for img in g.images]
+                  + [img.terms for img in f.images]
+                  + [terms for parts in polys for terms in parts.values()])
+        before = snapshot(inputs)
+        results = []
+
+        got = compose(g, f, max_degree)
+        for img, got_img in zip(f.images, got.images):
+            assert got_img.terms == fraction_substitute(
+                img.terms, g.images, max_degree)
+            results.append(got_img.terms)
+
+        got = [dict(parts) for parts in substitute_parts(g, polys)]
+        for parts, got_parts in zip(polys, got):
+            expected = {key: fraction_substitute(terms, g.images)
+                        for key, terms in parts.items()}
+            assert {key: poly.terms for key, poly in got_parts.items()} == {
+                key: terms for key, terms in expected.items() if terms}
+            results.extend(poly.terms for poly in got_parts.values())
+
+        got = linear_combinations(matrix, g)
+        for row, img in zip(matrix, got):
+            assert img.terms == fraction_substitute(
+                {(j,): c for j, c in enumerate(row, 1) if c}, g.images)
+            results.append(img.terms)
+
+        for terms in results:
+            assert all(terms is not t for t in inputs)
+            for c in terms.values():
+                assert c != 0
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+        assert snapshot(inputs) == before
 
 
 class TestParts:

@@ -466,7 +466,13 @@ class TestScalarCertificate:
             h = compose(report.beta_inverse,
                         linear_map(report.rank, report.base_change))
             center = report.fixed_point
-            assert conjugates_tau(action, gamma, h, center, report.weights)
+
+            def certifies(sigma, weights):
+                return conjugates_tau(
+                    map(freealg.t_components, sigma.map.images), gamma, h,
+                    center, weights)
+
+            assert certifies(action, report.weights)
             assert verify_conjugation(action, gamma, report.weights)
 
             first = action.map.images[0]
@@ -476,13 +482,12 @@ class TestScalarCertificate:
             bumped = TorusAction(PolyMap([
                 FreePoly(action.rank, terms, action.rank),
                 *action.map.images[1:]]))
-            assert not conjugates_tau(bumped, gamma, h, center,
-                                      report.weights)
+            assert not certifies(bumped, report.weights)
             assert not verify_conjugation(bumped, gamma, report.weights)
 
             weights = [list(row) for row in report.weights]
             weights[0], weights[1] = weights[1], weights[0]
-            assert not conjugates_tau(action, gamma, h, center, weights)
+            assert not certifies(action, weights)
             assert not verify_conjugation(action, gamma, weights)
 
     def test_proves_one_inverse_per_effective_linearize(self, ex_a,
@@ -511,6 +516,55 @@ class TestScalarCertificate:
         with pytest.raises(NotEffective):
             linearize(conjugated_action(alpha, alpha_inv, [[1, 0], [1, 0]]))
         assert calls == []
+
+
+class TestPipelineStepsOnce:
+    """At the origin gamma is Y, and each image of sigma is split by t once."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        module = importlib.import_module("falin.linearize")
+        split, translations = [], []
+        t_components = freealg.t_components
+        build = module.translation_map
+
+        def splitting(poly):
+            split.append(poly)
+            return t_components(poly)
+
+        def translating(rank, c):
+            translations.append(list(c))
+            return build(rank, c)
+
+        monkeypatch.setattr(module, "t_components", splitting)
+        monkeypatch.setattr(freealg, "t_components", splitting)
+        monkeypatch.setattr(module, "translation_map", translating)
+        return split, translations
+
+    def test_origin_composes_no_translation_and_splits_once(self, ex_a,
+                                                            spies):
+        split, translations = spies
+        corpus, _ = gen_action(corpus_spec(5))  # rank 3
+        for action in (ex_a, corpus, rank45_actions()[6]):  # rank 5, seed 0
+            split.clear()
+            report = linearize(action)
+            assert report.verified and not any(report.fixed_point)
+            assert translations == []
+            assert [id(p) for p in split] == [
+                id(img) for img in action.map.images]
+
+    def test_moved_fixed_point_translates_gamma(self, spies):
+        split, translations = spies
+        for action in shifted_actions()[:2]:
+            split.clear()
+            translations.clear()
+            report = linearize(action)
+            assert report.verified and any(report.fixed_point)
+            assert translations == [[-x for x in report.fixed_point]]
+            # the certificate splits sigma's own images, last
+            assert [id(p) for p in split[-action.rank:]] == [
+                id(img) for img in action.map.images]
+            assert len(split) > action.rank  # the moved images, before
 
 
 class TestReadOffInverse:

@@ -24,3 +24,10 @@ def test_every_import_is_relative_or_stdlib():
                for line, name in absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python = ">=3.10"; feature_version makes a
+    # newer interpreter reject syntax that 3.10 does not have
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
