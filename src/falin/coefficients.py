@@ -25,7 +25,7 @@ pure, so concurrent readers need no synchronization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RankMismatch, ZeroTorusPoint
@@ -220,20 +220,23 @@ class LaurentPoly:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a torus point (all entries nonzero)."""
+    def eval(self, point: Sequence):
+        """Exact evaluation at a torus point (all entries nonzero).
+
+        Each variable's powers are shifted up by its most negative exponent
+        l, so the sum runs over nonnegative powers (over the integers when
+        the point and coefficients are integers) and is divided once by
+        prod x^-l.  The value is in stored form (normalize_scalar).
+        """
         if len(point) != self.nvars:
             raise RankMismatch(
                 f"point of length {len(point)} for {self.nvars} variables")
-        # Fraction entries, so that negative exponents divide exactly
-        values = [Fraction(normalize_scalar(x)) for x in point]
+        values = [normalize_scalar(x) for x in point]
         if any(not x for x in values):
             raise ZeroTorusPoint("evaluation point has a zero entry")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
-                if e:
-                    term *= value ** e
-            total += term
-        return total
+        low = [min(0, *column) for column in zip(*self.terms)]
+        total = sum(coeff * prod(x ** (e - l)
+                                 for x, e, l in zip(values, exps, low))
+                    for exps, coeff in self.terms.items())
+        return normalize_scalar(
+            Fraction(total, prod(x ** -l for x, l in zip(values, low))))

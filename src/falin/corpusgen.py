@@ -33,9 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Tuple
 
-from . import linalg
 from .coefficients import LaurentPoly
 from .endo import (PolyMap, compose, identity_map, linear_map,
                    substitute_parts)
@@ -45,6 +43,7 @@ from .linearize import verify_conjugation, weight_parts
 from .torus import TorusAction, is_effective
 
 _MAX_REDRAWS = 96
+_DEGREE_CAP = 12
 _TERM_CAP = 400
 _COST_CAP = 100_000
 _NONZERO = (-3, -2, -1, 1, 2, 3)
@@ -89,7 +88,7 @@ def _compose_guarded(g: PolyMap, f: PolyMap, cap: int) -> PolyMap:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Reproducible recipe for one generated action."""
+    """Reproducible recipe for one generated action: the generate settings."""
 
     rank: int
     seed: int
@@ -97,9 +96,6 @@ class CorpusSpec:
     max_poly_degree: int
     weight_bound: int
     force_effective: bool = True
-    weights: Optional[Tuple[Tuple[int, ...], ...]] = None  # fixed M, no draw
-    include_linear: bool = True
-    degree_cap: int = 12
 
 
 @dataclass
@@ -238,7 +234,7 @@ def _check_size(pm: PolyMap, cap: int):
 
 
 def conjugated_action(alpha: PolyMap, alpha_inverse: PolyMap, weights,
-                      degree_cap: int = 12):
+                      degree_cap: int = _DEGREE_CAP):
     """sigma = alpha o tau_M o alpha^-1, verified against its ground truth.
 
     sigma(z_i) is assembled from the t-parts of alpha(tau(t)(alpha^-1(z_i))),
@@ -294,22 +290,16 @@ def _draw_weights(spec: CorpusSpec, rng: random.Random):
 
 
 def _attempt(spec: CorpusSpec, rng: random.Random):
-    if spec.weights is not None:
-        weights = [list(row) for row in spec.weights]
-    else:
-        weights = _draw_weights(spec, rng)
-    if spec.include_linear:
-        matrix, inverse = _random_unimodular(spec.rank, rng)
-    else:
-        matrix = inverse = linalg.identity(spec.rank)
+    weights = _draw_weights(spec, rng)
+    matrix, inverse = _random_unimodular(spec.rank, rng)
     alpha = linear_map(spec.rank, matrix)
     alpha_inv = linear_map(spec.rank, inverse)
     for k in range(spec.n_elementary):
         fwd, back = gen_elementary(spec.rank, rng, spec.max_poly_degree,
                                    target=1 + k % spec.rank)
-        alpha = _compose_guarded(fwd, alpha, spec.degree_cap)
-        alpha_inv = _compose_guarded(alpha_inv, back, spec.degree_cap)
-    action = conjugated_action(alpha, alpha_inv, weights, spec.degree_cap)
+        alpha = _compose_guarded(fwd, alpha, _DEGREE_CAP)
+        alpha_inv = _compose_guarded(alpha_inv, back, _DEGREE_CAP)
+    action = conjugated_action(alpha, alpha_inv, weights, _DEGREE_CAP)
     return action, GroundTruth(alpha, alpha_inv, weights)
 
 

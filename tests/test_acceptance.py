@@ -19,7 +19,7 @@ from falin import (FreePoly, LaurentPoly, PolyMap, TorusAction, abelianize,
                    f_mul, f_substitute, fixed_point,
                    linearize, map_document, parse, render)
 from falin.cli import run as cli_run
-from falin.corpusgen import CorpusSpec, gen_action
+from falin.corpusgen import CorpusSpec, conjugated_action, gen_action
 from falin.endo import linear_part
 from falin.errors import ParseError
 from falin.torus import translated_constant_part
@@ -113,10 +113,10 @@ def test_criterion_4_effectiveness_detection(tmp_path):
     singular = _singular_weight_matrices(20, rank=2)
     for i, weights in enumerate(singular):
         spec = CorpusSpec(rank=2, seed=500 + i, n_elementary=1,
-                          max_poly_degree=2, weight_bound=3,
-                          force_effective=False, weights=weights)
-        action, truth = gen_action(spec)
-        assert det(truth.weights) == 0
+                          max_poly_degree=2, weight_bound=3)
+        _, truth = gen_action(spec)
+        action = conjugated_action(truth.alpha, truth.alpha_inverse, weights)
+        assert det(weights) == 0
         path = tmp_path / f"singular_{i}.act"
         path.write_text(render(action))
         assert cli_run(["linearize", str(path), "--out",
@@ -230,9 +230,10 @@ def test_criterion_8_standard_lift_recovers_standard_weights():
         identity_weights = tuple(tuple(int(r == c) for c in range(rank))
                                  for r in range(rank))
         spec = CorpusSpec(rank=rank, seed=800 + i, n_elementary=1 + i % 2,
-                          max_poly_degree=2, weight_bound=3,
-                          weights=identity_weights)
-        action, _ = gen_action(spec)
+                          max_poly_degree=2, weight_bound=3)
+        _, truth = gen_action(spec)
+        action = conjugated_action(truth.alpha, truth.alpha_inverse,
+                                   identity_weights)
         report = linearize(action)
         assert report.verified
         got = sorted(tuple(row) for row in report.weights)

@@ -1,5 +1,6 @@
 """CLI exit codes, determinism, and output equality."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -32,6 +33,19 @@ EX_A_REPORT = ('{"rank":2,"effective":true,"fixed_point":["0","0"],'
                '"beta":{"z1":"z1","z2":"z2 + z1^2"},'
                '"beta_inverse":{"z1":"z1","z2":"z2 - z1^2"},'
                '"degree":2,"verified":true}')
+
+# SHA-256 of the .act, .alpha.map and .weights.json files that
+# `generate --rank 2 --allow-singular` writes at seeds whose first weight draw
+# is singular, computed by the code whose CorpusSpec could also plant a weight
+# matrix; --allow-singular is the only way to generate a singular one
+ALLOW_SINGULAR_DIGESTS = {
+    "0": ("eed81192aa012ba82a0d466f9fcb1cf6b98b61276a604afa730c15eb43ec4b10",
+          "f41178932d092007ee3db991176a470b3b00cba5970397387f877d0d6b6d6460",
+          "478668d73df9c03411c64bfb3ef984aa0ddcc0db9c0541fe913cd72c9c7a3032"),
+    "2": ("0ea704e3dd7f95f0d294a76aabd8a3d3b1ba863b8c3894acd9934eca21827f15",
+          "0ba93f36ec8585eee903ec6e2b16aa0a22244feb69304bdad79eeef60f5f8243",
+          "25ca2b3bab8b547a00c97fbb90e2309b7a8b09f877e60950b1ed33a074bd87d6"),
+}
 
 
 @pytest.fixture
@@ -227,6 +241,24 @@ class TestGenerate:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and flag in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", sorted(ALLOW_SINGULAR_DIGESTS))
+    def test_allow_singular_writes_a_non_effective_action(
+            self, seed, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--rank", "2", "--seed", seed, "--allow-singular",
+                "--out", "sing"]
+        assert run(argv) == 0
+        names = ["sing.act", "sing.alpha.map", "sing.weights.json"]
+        assert capsys.readouterr().out == "".join(f"{n}\n" for n in names)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        assert tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
+                     for n in names) == ALLOW_SINGULAR_DIGESTS[seed]
+        weights = (tmp_path / "sing.weights.json").read_text()
+        (a, b), (c, d) = json.loads(weights)
+        assert a * d - b * c == 0
+        assert run(["linearize", "sing.act"]) == 2
+        assert '"effective":false' in capsys.readouterr().out
 
     def test_redraws_exhausted_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

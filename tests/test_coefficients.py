@@ -103,6 +103,21 @@ class TestEval:
         with pytest.raises(ZeroTorusPoint):
             L(2, {(1, 1): 1}).eval([1, 0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_term_by_term_fractions(self, data):
+        p = data.draw(laurents(2))
+        nonzero = st.one_of(
+            st.integers(-4, 4),
+            st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        ).filter(bool)
+        point = data.draw(st.lists(nonzero, min_size=2, max_size=2))
+        want = sum((c * Fraction(point[0]) ** e0 * Fraction(point[1]) ** e1
+                    for (e0, e1), c in p.terms.items()), Fraction(0))
+        got = p.eval(point)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
 
 def laurents(nvars):
     coeffs = st.one_of(

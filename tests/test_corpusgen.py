@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from falin import (DegreeBlowupExceeded, FreePoly, PolyMap, check_axioms,
                    compose, identity_map, map_document, render,
                    verify_conjugation)
-from falin import linalg
-from falin.corpusgen import (_COST_CAP, CorpusSpec, _check_size,
+from falin import corpusgen, linalg
+from falin.corpusgen import (_COST_CAP, _DEGREE_CAP, CorpusSpec, _check_size,
                              _compose_guarded, _prefilter, _random_unimodular,
                              _refuse_by_top_degree, conjugated_action,
                              gen_action, gen_elementary, substitution_cost)
@@ -41,8 +41,9 @@ BEYOND_CORPUS_DIGEST = (
 
 # SHA-256 over action, alpha, alpha^-1 and weights, or the error text, for
 # acceptance specs 100-299 and for 4-5 degree-3 factors under degree caps
-# 6-13 (REFUSED_SPECS), computed by the code before a build could be refused
-# on its top-degree term count; the count refuses builds at both call sites.
+# 6-13 (REFUSED_SPECS, each spec with the cap it runs under), computed by the
+# code before a build could be refused on its top-degree term count; the count
+# refuses builds at both call sites.
 REFUSED_BUILDS_DIGEST = (
     "99bcc26609bfa75398593e3638212323af29cbd21fb1757f0fe5cf8f62c44003")
 # SHA-256 over repr(M) of _random_unimodular(rank, Random(seed)) for ranks
@@ -51,10 +52,10 @@ REFUSED_BUILDS_DIGEST = (
 UNIMODULAR_DIGEST = (
     "615c9e0a9664c2684e1a5ef8f180b9c4dbc30c50cdb2565a01d4a5e7ee4d8b8e")
 
-REFUSED_SPECS = ([corpus_spec(seed) for seed in range(100, 300)]
-                 + [CorpusSpec(rank=rank, seed=cap, n_elementary=factors,
-                               max_poly_degree=3, weight_bound=3,
-                               degree_cap=cap)
+REFUSED_SPECS = ([(corpus_spec(seed), _DEGREE_CAP)
+                  for seed in range(100, 300)]
+                 + [(CorpusSpec(rank=rank, seed=cap, n_elementary=factors,
+                                max_poly_degree=3, weight_bound=3), cap)
                     for cap in range(6, 14)
                     for rank, factors in ((2, 4), (3, 5))])
 
@@ -204,7 +205,7 @@ class TestConjugatedAction:
         action = conjugated_action(alpha, alpha_inv, weights)
         assert sum(len(img.terms) for img in action.map.images) == 391
         assert action.map == reference_conjugated_action(alpha, alpha_inv,
-                                                         weights, 12)
+                                                         weights, _DEGREE_CAP)
 
 
 @st.composite
@@ -308,9 +309,6 @@ class TestRandomUnimodular:
             gen_action(corpus_spec(seed))
         gen_action(CorpusSpec(rank=5, seed=0, n_elementary=5,
                               max_poly_degree=2, weight_bound=3))
-        gen_action(CorpusSpec(rank=2, seed=5, n_elementary=1,
-                              max_poly_degree=2, weight_bound=2,
-                              include_linear=False))
         assert calls == []
 
 
@@ -341,16 +339,10 @@ class TestGenAction:
             _, truth = gen_action(spec)
             assert det(truth.weights) != 0
 
-    def test_weights_override(self):
-        target = ((1, 0), (1, 0))
-        spec = CorpusSpec(rank=2, seed=3, n_elementary=1, max_poly_degree=2,
-                          weight_bound=3, force_effective=False, weights=target)
-        _, truth = gen_action(spec)
-        assert truth.weights == [[1, 0], [1, 0]]
-
-    def test_degree_cap_raises(self):
+    def test_degree_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(corpusgen, "_DEGREE_CAP", 2)
         spec = CorpusSpec(rank=2, seed=0, n_elementary=3,
-                          max_poly_degree=9, weight_bound=1, degree_cap=2)
+                          max_poly_degree=9, weight_bound=1)
         with pytest.raises(DegreeBlowupExceeded):
             gen_action(spec)
 
@@ -380,9 +372,10 @@ class TestGenAction:
             digest.update(text.encode())
         assert digest.hexdigest() == BEYOND_CORPUS_DIGEST
 
-    def test_generation_where_builds_are_refused_pinned(self):
+    def test_generation_where_builds_are_refused_pinned(self, monkeypatch):
         digest = hashlib.sha256()
-        for spec in REFUSED_SPECS:
+        for spec, cap in REFUSED_SPECS:
+            monkeypatch.setattr(corpusgen, "_DEGREE_CAP", cap)
             try:
                 action, truth = gen_action(spec)
             except DegreeBlowupExceeded as err:
@@ -413,10 +406,3 @@ class TestGenAction:
             tracemalloc.stop()
             gc.unfreeze()
         assert peak < 1_000_000
-
-    def test_no_linear_factor(self):
-        spec = CorpusSpec(rank=2, seed=5, n_elementary=0, max_poly_degree=2,
-                          weight_bound=2, include_linear=False)
-        action, truth = gen_action(spec)
-        assert truth.alpha == identity_map(2)
-        assert action.map == build_tau(truth.weights).map

@@ -603,6 +603,18 @@ class TestReadOffInverse:
             assert len(calls) == 1
 
 
+NON_EFFECTIVE_WITHOUT_INVARIANTS = """\
+rank 2
+action
+z1 -> t1*z1 + (t1^-1 - t1)*z2 + (-1*t1^-1 + t1)*z1^2
+z2 -> t1^-1*z2 + (-1*t1^-1 + t1^2)*z1^2 + (1 - t1^2)*z1*z2 \
++ (1 - t1^2)*z2*z1 + (t1^-2 - 2 + t1^2)*z2^2 + (-2 + 2*t1^2)*z1^3 \
++ (-1*t1^-2 + 2 - t1^2)*z1^2*z2 + (-1*t1^-2 + 2 - t1^2)*z2*z1^2 \
++ (t1^-2 - 2 + t1^2)*z1^4
+end
+"""
+
+
 class TestFixedPoint:
     """The fixed point is read off the t-constant part of the constant terms."""
 
@@ -627,11 +639,9 @@ class TestFixedPoint:
 
     def test_non_effective_action_without_constant_invariants(self):
         # a genuine action whose t-constant parts g_{i,0} are not constants:
-        # the read-off point is not fixed, so no fixed point is reported
-        spec = CorpusSpec(rank=2, seed=34, n_elementary=2, max_poly_degree=2,
-                          weight_bound=3, force_effective=False,
-                          weights=((1, 0), (-1, 0)), include_linear=False)
-        action, _ = gen_action(spec)
+        # the read-off point is not fixed, so no fixed point is reported.
+        # Weights ((1, 0), (-1, 0)) conjugated by two elementary factors.
+        action = parse(NON_EFFECTIVE_WITHOUT_INVARIANTS).to_action()
         moved = TorusAction(conjugate_by_translation(action.map, [0, 1]))
         assert check_axioms(moved).ok
         with pytest.raises(FixedPointNotFound):
