@@ -30,7 +30,11 @@ print(render(action))
 # terms and verified symbolically before being returned
 center = fixed_point(action)
 print("fixed point:", center)
+# linearize translates only sigma's split by t, part by part; the demo
+# translates the whole action, so that it can show each stage on it
 recentred = TorusAction(conjugate_by_translation(action.map, center))
+print("recentred action:")
+print(render(recentred))
 
 # stage 2: weight-space diagonalization of the linear part
 basis, weights = weight_decomposition(linear_part(recentred.map))

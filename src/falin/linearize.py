@@ -1,13 +1,16 @@
 """The linearization pipeline for effective torus actions.
 
-The pipeline moves a fixed point of sigma to the origin, finds the base
-change P with P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) for the linear
-part A, rejects the action if the weight matrix is singular, and otherwise
-reads the conjugating automorphism beta off the weight components of
-sigma: beta(z_i) is the t^{m_i} part of the i-th image of the diagonalized
-action, and since the base change does not touch t, that part is taken
-before it, as Y = P^-1 o beta.  Y^-1 is read off the same components, from
-the lowest-degree part of each (see linearize).
+Every stage reads the grading the torus puts on sigma, sigma(t)(z_j) =
+sum_m t^m g_{j,m}(z), from one split of each image by t.  The pipeline
+reads the fixed point c off the t-constant parts and translates the split,
+not the action, to the origin.  It finds the base change P with
+P^-1 A(t) P = diag(t^{m_1}, ..., t^{m_n}) for the linear part A, rejects
+the action if the weight matrix is singular, and otherwise reads P^-1 and
+the conjugating automorphism beta off the weight components: beta(z_i) is
+the t^{m_i} part of the i-th image of the diagonalized action, and since
+the base change does not touch t, that part is taken before it, as
+Y = P^-1 o beta.  Y^-1 is read off the same components, from the
+lowest-degree part of each (see linearize).
 
 The defining property of beta is the conjugation identity
 
@@ -16,15 +19,13 @@ The defining property of beta is the conjugation identity
 equivalently tau(t) = beta^-1 o sigma(t) o beta.  The pipeline proves Y^-1
 on both sides (endo.prove_inverse) and that identity exactly rather than
 trusting the construction.  With gamma = T_-c o Y, the identity is checked
-as sigma(t) = gamma o tau(t) o gamma^-1 one t-part at a time over scalar
-images, with gamma^-1(z_i) = Y^-1(z_i) + c_i, so no Laurent coefficient is
-multiplied.  At the origin gamma = Y, composed with no translation, and the
-check reuses the t-components that reading off Y split sigma into, so each
-image is split once.  Together they certify that sigma is an action, since
-it is then conjugate to tau, so the action axioms are checked only when
-that certificate is missing.  beta = P o Y and beta^-1 = Y^-1 o P^-1 are formed
-for the report only.  A report with verified=False is returned, never
-silently dropped; it indicates a bug.
+as sigma(t) = gamma o tau(t) o gamma^-1 one t-part at a time against
+sigma's own split, not the translated one, with gamma^-1(z_i) = Y^-1(z_i)
++ c_i, so no Laurent coefficient is multiplied.  Together they certify
+that sigma is an action, since it is then conjugate to tau, so the action
+axioms are checked only when that certificate is missing.  beta = P o Y
+and beta^-1 = Y^-1 o P^-1 are formed for the report only.  A report with
+verified=False is returned, never silently dropped; it indicates a bug.
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg
 from .coefficients import LaurentPoly
-from .endo import (PolyMap, compose, conjugate_by_translation,
-                   linear_combinations, linear_map, linear_part,
+from .endo import (PolyMap, compose, linear_combinations, linear_map,
                    prove_inverse, substitute_parts, translation_map)
 from .errors import AxiomsFail, FalinError, NotEffective
-from .freealg import FreePoly, t_components
+from .freealg import EMPTY_WORD, FreePoly, t_components
 from .torus import (TorusAction, check_axioms, fixed_point, is_effective,
                     weight_decomposition)
 
@@ -71,33 +70,57 @@ def build_tau(weights) -> TorusAction:
 def extract_beta(action: TorusAction, base_change, weights) -> PolyMap:
     """The conjugator beta, read off the weight components of sigma.
 
-    Write sigma(t)(z_j) = sum_m t^m g_{j,m}(z), with the fixed point moved
-    to the origin and P^-1 A(t) P = diag(t^{m_i}) for the linear part A.
+    Write sigma(t)(z_j) = sum_m t^m g_{j,m}(z), with the fixed point at the
+    origin and P^-1 A(t) P = diag(t^{m_i}) for the linear part A.
     beta(z_i) is the t^{m_i} part of the i-th image of the diagonalized
     action P^-1 sigma(t)(P z); conjugating by the scalar matrix P does not
     touch t, so taking a t-coefficient commutes with it, and
-    beta(z_i) = Y_i(P z) with Y_i = sum_j (P^-1)_{ij} g_{j,m_i}.
+    beta(z_i) = Y_i(P z) with Y_i = sum_j (P^-1)_{ij} g_{j,m_i}.  (P, M)
+    must be weight_decomposition's, since P^-1 is read off its canonical
+    basis (see _conjugator); every caller passes exactly that.
     """
-    y = _conjugator(action.map, base_change, weights)[0]
+    parts = [t_components(img) for img in action.map.images]
+    y = _conjugator(parts, base_change, weights)[0]
     return compose(linear_map(action.rank, base_change), y)
 
 
-def _conjugator(moved: PolyMap, base_change, weights):
-    """(Y, P^-1, components) for sigma(t) = ``moved`` (see extract_beta).
+def _conjugator(parts, base_change, weights):
+    """(Y, P^-1) for the split ``parts`` of sigma(t) at the origin.
 
-    components[j] is {m: g_{j,m}}; P^-1 and the components are returned so
-    that the pipeline reads Y^-1 off them and forms beta^-1 without forming
-    them again.
+    parts[j] is {m: g_{j,m}}, and (P, M) is weight_decomposition's.  P^-1 is
+    read off the components, not computed.  weight_decomposition checked
+    A(t) v = t^{m_k} v for every column v of P, and that P has n columns,
+    so A(t) = P diag(t^{m_k}) P^-1 exactly, and A_mu = P_mu Q_mu, where
+    P_mu holds the columns of weight mu and Q_mu the matching rows of P^-1.
+    In its canonical basis, each column of weight mu ends in a 1 at a
+    position p where the other columns of weight mu are 0, so row p of
+    A_mu is row k of P^-1 for the column k with unit position p.  Row p of
+    A_{m_k} holds the linear coefficients of g_{p,m_k}.  That uses only
+    what weight_decomposition proved, and no matrix is inverted.
     """
-    n = moved.rank
-    inverse = linalg.inverse(base_change)
-    components = [t_components(img) for img in moved.images]
+    n = len(parts)
     zero = FreePoly.zero(n)
-    y = PolyMap([
-        linear_combinations([row], PolyMap(
-            [parts.get(tuple(m), zero) for parts in components]))[0]
-        for row, m in zip(inverse, weights)])
-    return y, inverse, components
+    inverse, y = [], []
+    for k, m in enumerate(weights):
+        components = [split.get(tuple(m), zero) for split in parts]
+        unit = max(i for i, row in enumerate(base_change) if row[k])
+        row = [components[unit].coeff((j,)) for j in range(1, n + 1)]
+        inverse.append(row)
+        y += linear_combinations([row], PolyMap(components))
+    return PolyMap(y), inverse
+
+
+def _translated(splits, c):
+    """[{key: g(z + c)}] for the splits [{key: g}], vanishing parts dropped.
+
+    One substitute_parts call translates every part.  Translation by 0
+    returns ``splits`` itself.
+    """
+    if not any(c):
+        return splits
+    return [dict(parts) for parts in substitute_parts(
+        translation_map(len(c), c),
+        ({key: g.terms for key, g in split.items()} for split in splits))]
 
 
 def _lowest_parts(components, n: int) -> PolyMap:
@@ -130,18 +153,18 @@ def _conjugates_tau(sigma_parts, gamma: PolyMap, h: PolyMap,
                     center, weights) -> bool:
     """Exact check of sigma(t) = gamma o tau(t) o gamma^-1, one t-part at a time.
 
-    ``sigma_parts`` gives t_components of each image of sigma(t) in turn,
-    so the pipeline hands over the split it already made when sigma fixes
-    the origin.  gamma = T_-c o Y for the fixed point c = ``center`` (just
-    Y at the origin), and the pipeline proved h = Y^-1 on both sides, so
-    gamma^-1 = h o T_c, with gamma^-1(z_i) = h_i + c_i, is a two-sided
-    inverse.  Given one, sigma(t) = gamma o tau(t) o gamma^-1 is equivalent
-    to sigma(t) o gamma = gamma o tau(t) (verify_conjugation).  tau(t)
-    scales each word of gamma^-1(z_i) by its weight, and distinct weights
-    never cancel, so the identity holds exactly when gamma substituted into
-    each weight part of gamma^-1(z_i) (endo.substitute_parts) is the
-    matching t-component of sigma(t)(z_i).  The check stops at the first
-    image that differs; every product in it is integer by integer.
+    ``sigma_parts`` holds t_components of each image of sigma(t), the split
+    that the pipeline made first.  gamma = T_-c o Y for the fixed point
+    c = ``center`` (just Y at the origin), and the pipeline proved h = Y^-1
+    on both sides, so gamma^-1 = h o T_c, with gamma^-1(z_i) = h_i + c_i,
+    is a two-sided inverse.  Given one, sigma(t) = gamma o tau(t) o
+    gamma^-1 is equivalent to sigma(t) o gamma = gamma o tau(t)
+    (verify_conjugation).  tau(t) scales each word of gamma^-1(z_i) by its
+    weight, and distinct weights never cancel, so the identity holds
+    exactly when gamma substituted into each weight part of gamma^-1(z_i)
+    (endo.substitute_parts) is the matching t-component of sigma(t)(z_i).
+    The check stops at the first image that differs; every product in it
+    is integer by integer.
     """
     polys = (weight_parts(img + c if c else img, weights)
              for img, c in zip(h.images, center))
@@ -223,9 +246,18 @@ def linearize(action: TorusAction,
 def _pipeline(action: TorusAction,
               max_degree: Optional[int]) -> LinearizationReport:
     n = action.rank
-    center = fixed_point(action)  # verified: no constant part remains
-    moved = conjugate_by_translation(action.map, center)
-    base_change, weights = weight_decomposition(linear_part(moved))
+    center = fixed_point(action)  # verified: sigma(t) fixes c at every t
+    sigma_parts = [t_components(img) for img in action.map.images]
+    # z -> sigma(z + c) - c: fixed_point proved that the translated parts
+    # have the constant term c_j at t^0 and none elsewhere, so drop those
+    parts = [{m: g if EMPTY_WORD not in g.terms else
+              FreePoly(n, {w: x for w, x in g.terms.items() if w})
+              for m, g in split.items() if g.terms.keys() != {EMPTY_WORD}}
+             for split in _translated(sigma_parts, center)]
+    base_change, weights = weight_decomposition([
+        [LaurentPoly(n, {m: g.terms[(j,)] for m, g in split.items()
+                         if (j,) in g.terms}) for j in range(1, n + 1)]
+        for split in parts])
     if not is_effective(weights):
         raise NotEffective(
             "weight matrix is singular: a subtorus acts trivially",
@@ -234,23 +266,18 @@ def _pipeline(action: TorusAction,
                 base_change=base_change, weights=weights,
                 beta=None, beta_inverse=None, degree=action.degree,
                 verified=None))
-    y, inverse, components = _conjugator(moved, base_change, weights)
+    y, inverse = _conjugator(parts, base_change, weights)
     bound = action.degree if max_degree is None else max_degree
     p = linear_map(n, base_change)
     # h = Y^-1 with h(z) = H(P z) (see linearize), proved on both sides
-    h = compose(p, _lowest_parts(components, n))
+    h = compose(p, _lowest_parts(parts, n))
     prove_inverse(y, h, bound)
-    # Verify against the original sparse action: with gamma folding the
-    # translation into Y, the identity is literally equivalent to the
-    # diagonalized-level conjugation identity, and the original images are
-    # far cheaper than the dense diagonalized conjugate.  At the origin
-    # gamma is Y and sigma's images are the ones already split by t.
-    if moved is action.map:
-        gamma, sigma_parts = y, components
-    else:
-        gamma = compose(translation_map(n, [-x for x in center]), y)
-        sigma_parts = map(t_components, action.map.images)
-    verified = _conjugates_tau(sigma_parts, gamma, h, center, weights)
+    # Verify against sigma's own split, not the translated one, with
+    # gamma = T_-c o Y, gamma(z) = Y(z - c); no image of the invertible Y
+    # vanishes, so none is dropped.
+    [gamma] = _translated([dict(enumerate(y.images))], [-x for x in center])
+    verified = _conjugates_tau(sigma_parts, PolyMap(gamma.values()), h,
+                               center, weights)
     return LinearizationReport(
         rank=n, effective=True, fixed_point=tuple(center),
         base_change=base_change, weights=weights,

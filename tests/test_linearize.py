@@ -16,7 +16,7 @@ from falin import (AxiomsFail, CorpusSpec, FixedPointNotFound, FreePoly,
                    emit_report, extract_beta, fixed_point, gen_action,
                    identity_map, invert, linear_part, linearize, parse,
                    verify_conjugation, weight_decomposition)
-from falin import freealg, linalg
+from falin import endo, freealg, linalg
 from falin.corpusgen import conjugated_action
 from falin.endo import linear_map, translation_map
 from falin.errors import NotDiagonalizable
@@ -348,15 +348,20 @@ class TestWildConjugators:
                 WILD_REPORT_DIGESTS[key], key
 
 
-def bumped_corpus_action(seed, k, delta):
-    """Corpus action whose k-th graded-lex term of z1's image gains delta(rank)."""
-    action, _ = gen_action(corpus_spec(seed))
+def bumped(action, k, delta):
+    """The action whose k-th graded-lex term of z1's image gains delta."""
     first = action.map.images[0]
     word = sorted(first.terms, key=lambda w: (len(w), w))[k]
     terms = dict(first.terms)
-    terms[word] = terms[word] + delta(action.rank)
+    terms[word] = terms[word] + delta
     images = [FreePoly(action.rank, terms, action.rank), *action.map.images[1:]]
     return TorusAction(PolyMap(images))
+
+
+def bumped_corpus_action(seed, k, delta):
+    """Corpus action whose k-th graded-lex term of z1's image gains delta(rank)."""
+    action, _ = gen_action(corpus_spec(seed))
+    return bumped(action, k, delta(action.rank))
 
 
 def doc_action(*images):
@@ -519,12 +524,13 @@ class TestScalarCertificate:
 
 
 class TestPipelineStepsOnce:
-    """At the origin gamma is Y, and each image of sigma is split by t once."""
+    """Each image of sigma is split by t once, at every fixed point, and no
+    Laurent map is composed or translated."""
 
     @pytest.fixture
     def spies(self, monkeypatch):
         module = importlib.import_module("falin.linearize")
-        split, translations = [], []
+        split, translations, laurent = [], [], []
         t_components = freealg.t_components
         build = module.translation_map
 
@@ -536,71 +542,103 @@ class TestPipelineStepsOnce:
             translations.append(list(c))
             return build(rank, c)
 
+        def composing(compose):
+            def spy(g, f, *args, **kwargs):
+                if g.nvars is not None or f.nvars is not None:
+                    laurent.append((g, f))
+                return compose(g, f, *args, **kwargs)
+            return spy
+
+        def conjugating(f, c):
+            laurent.append(f)
+            return conjugate_by_translation(f, c)
+
         monkeypatch.setattr(module, "t_components", splitting)
         monkeypatch.setattr(freealg, "t_components", splitting)
         monkeypatch.setattr(module, "translation_map", translating)
-        return split, translations
+        monkeypatch.setattr(module, "compose", composing(module.compose))
+        monkeypatch.setattr(endo, "compose", composing(endo.compose))
+        monkeypatch.setattr(endo, "conjugate_by_translation", conjugating)
+        return split, translations, laurent
 
     def test_origin_composes_no_translation_and_splits_once(self, ex_a,
                                                             spies):
-        split, translations = spies
+        split, translations, laurent = spies
         corpus, _ = gen_action(corpus_spec(5))  # rank 3
-        for action in (ex_a, corpus, rank45_actions()[6]):  # rank 5, seed 0
+        actions = [ex_a, corpus, rank45_actions()[6]]  # rank 5, seed 0
+        laurent.clear()  # the generator's own compositions
+        for action in actions:
             split.clear()
             report = linearize(action)
             assert report.verified and not any(report.fixed_point)
             assert translations == []
             assert [id(p) for p in split] == [
                 id(img) for img in action.map.images]
+        assert laurent == []
 
     def test_moved_fixed_point_translates_gamma(self, spies):
-        split, translations = spies
-        for action in shifted_actions()[:2]:
+        split, translations, laurent = spies
+        actions = shifted_actions()
+        laurent.clear()  # the generator's own compositions
+        for action in actions:
             split.clear()
             translations.clear()
             report = linearize(action)
             assert report.verified and any(report.fixed_point)
-            assert translations == [[-x for x in report.fixed_point]]
-            # the certificate splits sigma's own images, last
-            assert [id(p) for p in split[-action.rank:]] == [
+            # sigma's split moves to the origin, and gamma = T_-c o Y back
+            c = list(report.fixed_point)
+            assert translations == [c, [-x for x in c]]
+            assert [id(p) for p in split] == [
                 id(img) for img in action.map.images]
-            assert len(split) > action.rank  # the moved images, before
+        assert laurent == []
+
+
+def moved_actions(case):
+    """A generated action and the same action moved by a rational shift."""
+    rank, seed, factors, shift = case
+    action, _ = gen_action(CorpusSpec(rank=rank, seed=seed,
+                                      n_elementary=factors,
+                                      max_poly_degree=2, weight_bound=3))
+    return action, TorusAction(conjugate_by_translation(
+        action.map, [-c for c in shift]))
+
+
+MOVED_CASES = st.integers(1, 5).flatmap(lambda rank: st.tuples(
+    st.just(rank), st.integers(0, 10**6), st.integers(1, rank),
+    st.lists(st.fractions(-7, 7, max_denominator=5),
+             min_size=rank, max_size=rank)))
 
 
 class TestReadOffInverse:
-    """beta^-1 is read off the lowest-degree parts of sigma's t-components."""
+    """beta^-1 is read off the lowest-degree parts of sigma's t-components,
+    and P^-1 off the linear words of its weight components."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda rank: st.tuples(
-        st.just(rank), st.integers(0, 10**6), st.integers(1, rank),
-        st.lists(st.fractions(-7, 7, max_denominator=5),
-                 min_size=rank, max_size=rank))))
+    @given(MOVED_CASES)
     def test_equals_series_inverse(self, case):
-        rank, seed, factors, shift = case
-        action, _ = gen_action(CorpusSpec(rank=rank, seed=seed,
-                                          n_elementary=factors,
-                                          max_poly_degree=2, weight_bound=3))
-        moved = TorusAction(conjugate_by_translation(
-            action.map, [-c for c in shift]))
-        for sigma in (action, moved):
+        for sigma in moved_actions(case):
             report = linearize(sigma)
             assert report.verified
             assert report.beta_inverse == invert(report.beta, sigma.degree)
 
-    def test_inverts_the_base_change_once(self, ex_a, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(MOVED_CASES)
+    def test_read_off_base_change_inverse(self, case):
+        conjugator = importlib.import_module("falin.linearize")._conjugator
+        for sigma in moved_actions(case):
+            moved = conjugate_by_translation(sigma.map, fixed_point(sigma))
+            base_change, weights = weight_decomposition(linear_part(moved))
+            parts = [freealg.t_components(img) for img in moved.images]
+            _, read_off = conjugator(parts, base_change, weights)
+            assert read_off == linalg.inverse(base_change)
+
+    def test_inverts_no_matrix(self, ex_a, monkeypatch):
         calls = []
-        inverse = linalg.inverse
-
-        def counting(matrix):
-            calls.append(matrix)
-            return inverse(matrix)
-
-        monkeypatch.setattr(linalg, "inverse", counting)
+        monkeypatch.setattr(linalg, "inverse", calls.append)
         actions = TestScalarCertificate().actions(ex_a) + shifted_actions()[:4]
         for action in actions:
-            calls.clear()
             assert linearize(action).verified
-            assert len(calls) == 1
+        assert calls == []
 
 
 NON_EFFECTIVE_WITHOUT_INVARIANTS = """\

@@ -14,28 +14,18 @@ import hashlib
 import random
 from fractions import Fraction
 
-from falin import (FalinError, FreePoly, LaurentPoly, PolyMap, TorusAction,
+from falin import (FalinError, LaurentPoly, TorusAction,
                    conjugate_by_translation, emit_report, gen_action,
                    laurent_str, linearize, render)
 from falin.cli import run
 
 from test_acceptance import corpus_spec
-from test_linearize import wild_actions
+from test_linearize import bumped, wild_actions
 
 # SHA-256 of the outcome lines of the sweep, one line per input and bound,
 # then one per input for ``falin check``
 OUTCOME_DIGEST = (
     "2fded88511eefd7bb3a8a57c34a7a8f163746a27409d3e9e2b442062cf97b458")
-
-
-def bumped(action, delta):
-    """The action whose first graded-lex term of z1's image gains delta."""
-    first = action.map.images[0]
-    word = min(first.terms, key=lambda w: (len(w), w))
-    terms = dict(first.terms)
-    terms[word] = terms[word] + delta
-    return TorusAction(PolyMap([FreePoly(action.rank, terms, action.rank),
-                                *action.map.images[1:]]))
 
 
 def sweep():
@@ -51,9 +41,9 @@ def sweep():
             action.map, [-c for c in shift]))
         for name, base in (("generated", action), ("moved", moved)):
             actions += [(f"{seed} {name}", base),
-                        (f"{seed} {name} +1", bumped(base, 1)),
+                        (f"{seed} {name} +1", bumped(base, 0, 1)),
                         (f"{seed} {name} +t1",
-                         bumped(base, LaurentPoly.var(n, 1)))]
+                         bumped(base, 0, LaurentPoly.var(n, 1)))]
     actions += [(f"wild {name} {i}", sigma)
                 for (name, i), sigma, _ in wild_actions()]
     return actions
